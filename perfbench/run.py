@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Serve-path benchmark entry point.
 
-    python3 perfbench/run.py --workload scan_100k --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload scan_100k --seed 1 --seconds 25 --trace 0
 
 Run from the repository root. Builds `subqd` (the repository's release
 profile) and the `perfbench` runner into `$CARGO_TARGET_DIR` (default
-`.bench_build`), then runs it: it generates the workload's store,
-serves it through `subqd --dir`, drives it with one closed-loop client per
-core, checks the answers, and prints the metrics. The last line of
-standard output is the JSON result. Store directories, span files and
-summaries go to `.bench_run/`.
+`.bench_build`), then runs it, pinned to one CPU: it generates the
+workload's store, serves it through `subqd --dir`, drives it with one
+closed-loop client, checks the answers, and prints the metrics. The last
+line of standard output is the JSON result. Store directories, span
+files and summaries go to `.bench_run/`.
 """
 
 import argparse
@@ -24,7 +24,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
@@ -56,7 +56,13 @@ def main():
         "--subqd", os.path.join(target, "release", "subqd"),
         "--work", os.path.join(root, ".bench_run"),
     ]
-    return subprocess.run(runner, cwd=root).returncode
+    # The runner and the `subqd` it starts share one CPU: a closed-loop
+    # client and the server thread answering it take turns, and handing
+    # the turn to another CPU of a virtual machine waits for the
+    # hypervisor to run that CPU, which made every figure follow the
+    # neighbours' load. The builds above use every CPU.
+    cpu = max(os.sched_getaffinity(0))
+    return subprocess.run(runner, cwd=root, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})).returncode
 
 
 if __name__ == "__main__":

@@ -192,8 +192,10 @@ pub fn check_replay(
     for (version, mut group) in by_version {
         // Transactions acknowledged at the same version: one of them (the
         // first to commit) moved the store there; the others were no-ops
-        // on that state and must stay no-ops.
-        if db.data_version() < version {
+        // on that state and must stay no-ops. A lone transaction is the
+        // mover if any is, and the version check below catches it if not,
+        // so only a tie needs trial copies of the store.
+        if db.data_version() < version && group.len() > 1 {
             let mover = group.iter().position(|ops| {
                 let mut trial = db.snapshot_clone();
                 ops.iter().for_each(|op| op.apply(&mut trial));

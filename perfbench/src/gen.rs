@@ -75,6 +75,18 @@ impl Workload {
         }
     }
 
+    /// Timed requests after which the server's peak resident set is
+    /// read: a count every run reaches well inside its window, on a
+    /// plateau of the resident set. On `adhoc_100k` it grows in steps as
+    /// the caches fill with new shapes (about 56, 71 and 101 MiB after
+    /// 1k, 2–3.5k and 4k+ requests); 3k sits mid-plateau.
+    pub fn rss_after(self) -> usize {
+        match self {
+            Workload::Scan | Workload::Churn => 500,
+            Workload::Adhoc => 3_000,
+        }
+    }
+
     fn store_params(self) -> ChurnParams {
         let (shape, classes, views, path_view_percent) = match self {
             Workload::Scan => (FamilyShape::Tree, 8, 12, 40),

@@ -7,9 +7,9 @@
 //!
 //! Generates the workload's store, sets it up several times (open,
 //! materialize the views, checkpoint, start `subqd --dir`, first PONG),
-//! drives the last server from one closed-loop client per core for
-//! `--seconds`, checks the answers, and prints the end-to-end metrics
-//! (`--trace 0`) or replays the same requests in-process with a span
+//! drives the last server from one closed-loop client for `--seconds`,
+//! checks the answers, and prints the end-to-end metrics (`--trace 0`)
+//! or replays the same requests in-process with a span
 //! around every layer call and prints the per-layer metrics
 //! (`--trace 1`). The last line of standard output is the JSON result;
 //! the lines before it are the environment stamp and a readable summary.
@@ -17,6 +17,7 @@
 
 mod check;
 mod gen;
+mod steal;
 mod trace;
 mod wire;
 
@@ -30,7 +31,18 @@ use trace::{Counts, Tracer, Twins};
 use wire::{Expectations, Subqd, WireRun};
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 7;
+const SETUPS: usize = 11;
+
+/// Set-up servers that take a write probe before they are shut down
+/// (read-only workloads only).
+const PROBES: usize = 3;
+
+/// Closed-loop clients. One client and the server thread answering it
+/// take turns, so the run never has more threads ready than CPUs, and
+/// measures the program rather than the scheduler: with a client per
+/// core, queries waited for a core behind the other client's work, and a
+/// fifth of the CPU stolen by the hypervisor doubled the median latency.
+const CLIENTS: usize = 1;
 
 /// The group-commit setting `subqd` uses by default; in-process twins
 /// open with the same.
@@ -48,7 +60,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut workload = None;
     let mut seed = 1;
-    let mut seconds = 20;
+    let mut seconds = 25;
     let mut trace = false;
     let mut subqd = None;
     let mut work = None;
@@ -189,6 +201,8 @@ fn image_bytes(dir: &Path) -> u64 {
 
 /// What one set-up measured.
 struct SetupTimes {
+    /// When it started and ended, from the run's epoch.
+    span_ns: (u64, u64),
     total_s: f64,
     materialize_s: f64,
     checkpoint_s: f64,
@@ -198,15 +212,19 @@ struct SetupTimes {
 
 fn setup(store: &Store, dir: &Path, subqd: &Path) -> Result<Setup, String> {
     let _ = std::fs::remove_dir_all(dir);
-    let started = Instant::now();
+    let began = Instant::now();
     let (odb, materialize, checkpoint) = open_store(store, dir)?;
-    let built = started.elapsed();
+    let built = began.elapsed();
     let started = Instant::now();
     let server = Subqd::spawn(subqd, dir)?;
     server.ping()?;
     let recover = started.elapsed();
     Ok(Setup {
         times: SetupTimes {
+            span_ns: (
+                steal::ns_since_epoch(began),
+                steal::ns_since_epoch(Instant::now()),
+            ),
             total_s: secs(built + recover),
             materialize_s: secs(materialize),
             checkpoint_s: secs(checkpoint),
@@ -228,6 +246,19 @@ fn filesystem(dir: &Path) -> String {
         .filter(|out| out.status.success())
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
         .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The machine's CPUs, as `/proc/stat` lists them.
+fn machine_cores() -> usize {
+    std::fs::read_to_string("/proc/stat")
+        .map(|stat| {
+            stat.lines()
+                .filter(|l| {
+                    l.starts_with("cpu") && l.as_bytes().get(3).is_some_and(u8::is_ascii_digit)
+                })
+                .count()
+        })
+        .unwrap_or(0)
 }
 
 /// `(all, steal)` CPU ticks of the machine so far. Steal is time a
@@ -259,12 +290,17 @@ struct Outcome {
 
 fn run(args: &Args) -> Result<Outcome, String> {
     let workload = args.workload;
-    let clients = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = machine_cores();
+    // The CPUs this process may run on; `run.py` pins the runner, and
+    // so `subqd`, to one.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let clients = CLIENTS;
     std::fs::create_dir_all(&args.work)
         .map_err(|e| format!("creating {}: {e}", args.work.display()))?;
     let tag = format!("{}-{}", workload.name(), args.seed);
 
     let ticks_before = cpu_ticks();
+    let sampler = steal::StealSampler::start();
     let started = Instant::now();
     let store = Store::generate(workload);
     let generate_s = secs(started.elapsed());
@@ -274,9 +310,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
     let mut served_dir = PathBuf::new();
     let mut served_odb: Option<OptimizedDatabase> = None;
     // The read-only workloads have no commits of their own: their commit
-    // latency comes from a write probe on each set-up's server that does
-    // not serve the run. Every probe starts from the same fresh store, so
-    // the six pool into one sample.
+    // latency comes from a write probe on the first PROBES set-up servers,
+    // which do not serve the run. Every probe starts from the same fresh
+    // store, so the probes pool into one sample.
     let mut probe = wire::ClientLog::default();
     for i in 0..SETUPS {
         let dir = args.work.join(format!("{tag}-store{i}"));
@@ -287,8 +323,8 @@ fn run(args: &Args) -> Result<Outcome, String> {
         } = setup(&store, &dir, &args.subqd)?;
         setups.push(times);
         if i + 1 < SETUPS {
-            if workload != Workload::Churn && !args.trace {
-                let log = wire::probe_commits(up.addr, &store, i);
+            if workload != Workload::Churn && !args.trace && i < PROBES {
+                let log = wire::probe_commits(up.addr, &store);
                 probe.samples.extend(log.samples);
                 probe.errors.extend(log.errors);
             }
@@ -309,8 +345,8 @@ fn run(args: &Args) -> Result<Outcome, String> {
     let mut stamp = String::new();
     let _ = write!(
         stamp,
-        "{{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"cores\": {clients}, \
-         \"clients\": {clients}, \"objects\": {OBJECTS}, \"views\": {}, \"store_fs\": {}, \
+        "{{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"cores\": {cores}, \
+         \"cpus_used\": {cpus}, \"clients\": {clients}, \"objects\": {OBJECTS}, \"views\": {}, \"store_fs\": {}, \
          \"flush_policy\": \"group commit {GROUP_COMMIT} (subqd default), one fsync per writer batch\", \
          \"subqd_flags\": {}, \"generate_s\": {generate_s:.3}}}",
         json_str(workload.name()),
@@ -349,8 +385,13 @@ fn run(args: &Args) -> Result<Outcome, String> {
         clients,
         window,
         &expect,
+        &wire::RssProbe {
+            pid: server.pid(),
+            after: workload.rss_after(),
+        },
     );
-    let peak_rss_mb = server.peak_rss_mb().unwrap_or(0.0);
+    let peak_rss_mb = wire.rss_mb.or_else(|| server.peak_rss_mb()).unwrap_or(0.0);
+    let steal = sampler.finish();
 
     let mut errors: Vec<String> = wire
         .logs
@@ -406,6 +447,55 @@ fn run(args: &Args) -> Result<Outcome, String> {
         .filter(|s| s.txn.is_some())
         .map(|s| s.latency_ns)
         .collect();
+    // The end-to-end figures come from the quiet quarter-seconds (see
+    // `steal`): those of the timed window, and those the probe commits
+    // were sent in.
+    let ops_per_slice = wire.ops_per_slice();
+    let quiet = steal.quiet(ops_per_slice.keys().copied());
+    let probe_slices: std::collections::BTreeSet<u64> = probe
+        .samples
+        .iter()
+        .map(|s| steal::slice_of(s.at_ns))
+        .collect();
+    let quiet_probe = steal.quiet(probe_slices);
+    let quiet_query_ns: Vec<u64> = timed()
+        .filter(|s| s.txn.is_none() && quiet.contains(s.at_ns))
+        .map(|s| s.latency_ns)
+        .collect();
+    let quiet_commit_ns: Vec<u64> = timed()
+        .filter(|s| quiet.contains(s.at_ns))
+        .chain(
+            probe
+                .samples
+                .iter()
+                .filter(|s| !s.failed && quiet_probe.contains(s.at_ns)),
+        )
+        .filter(|s| s.txn.is_some())
+        .map(|s| s.latency_ns)
+        .collect();
+    // Requests per second, from the median slice.
+    let per_s = |ops: Vec<f64>| {
+        if ops.is_empty() {
+            0.0
+        } else {
+            median_f64(&ops) * 1e9 / steal::SLICE_NS as f64
+        }
+    };
+    let ops_per_s = per_s(
+        ops_per_slice
+            .iter()
+            .filter(|(slice, _)| quiet.slices.contains(slice))
+            .map(|(_, ops)| *ops)
+            .collect(),
+    );
+    // And set-up time from the quiet set-ups.
+    let spans: Vec<(u64, u64)> = setups.iter().map(|s| s.span_ns).collect();
+    let quiet_setups: Vec<f64> = setups
+        .iter()
+        .zip(steal.quiet_spans(&spans))
+        .filter(|(_, quiet)| *quiet)
+        .map(|(s, _)| s.total_s)
+        .collect();
     let acked = timed().count();
     let queries_answered = timed().filter(|s| s.txn.is_none()).count().max(1);
     let non_empty = timed().filter(|s| s.txn.is_none() && s.answers > 0).count();
@@ -420,7 +510,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
         "wire: {acked} acknowledged ops in {:.3} s ({} queries, {} commits, {} warm-up requests), \
          {failed} of {attempted} requests failed (failed_frac {}), {kept_checked} answers kept and checked \
          after the run, mean answer {mean_answers:.0} names, non-empty answers {:.1}%, \
-         query p99 {:.3} ms (not gated: see README)",
+         query p99 {:.3} ms, commit p99 {:.3} ms (neither gated: see README)\n\
+         quiet: {} of {} quarter-seconds of the timed window, {} of {} with probe commits ({} queries, {} commits kept); \
+         over every quarter-second: query p50 {:.3} ms, commit p50 {:.3} ms, {:.1} ops/s",
         wire.window_ns as f64 / 1e9,
         query_ns.len(),
         commit_ns.len(),
@@ -428,17 +520,26 @@ fn run(args: &Args) -> Result<Outcome, String> {
         failed as f64 / attempted.max(1) as f64,
         100.0 * non_empty as f64 / queries_answered as f64,
         ms(percentile(&query_ns, 99.0)),
+        ms(percentile(&commit_ns, 99.0)),
+        quiet.slices.len(),
+        quiet.of,
+        quiet_probe.slices.len(),
+        quiet_probe.of,
+        quiet_query_ns.len(),
+        quiet_commit_ns.len(),
+        ms(percentile(&query_ns, 50.0)),
+        ms(percentile(&commit_ns, 50.0)),
+        per_s(ops_per_slice.values().copied().collect()),
     );
     if !args.trace {
-        metrics.put("query_p50_ms", ms(percentile(&query_ns, 50.0)), "ms");
-        metrics.put("commit_p50_ms", ms(percentile(&commit_ns, 50.0)), "ms");
-        metrics.put("commit_p99_ms", ms(percentile(&commit_ns, 99.0)), "ms");
+        metrics.put("query_p50_ms", ms(percentile(&quiet_query_ns, 50.0)), "ms");
         metrics.put(
-            "ops_per_s",
-            acked as f64 / (wire.window_ns as f64 / 1e9),
-            "1/s",
+            "commit_p50_ms",
+            ms(percentile(&quiet_commit_ns, 50.0)),
+            "ms",
         );
-        metrics.put("setup_s", median_of(|s| s.total_s), "s");
+        metrics.put("ops_per_s", ops_per_s, "1/s");
+        metrics.put("setup_s", median_f64(&quiet_setups), "s");
         metrics.put("peak_rss_mb", peak_rss_mb, "MiB");
     } else {
         let trace_summary = traced(
@@ -464,7 +565,10 @@ fn run(args: &Args) -> Result<Outcome, String> {
     let _ = std::fs::remove_dir_all(&served_dir);
     let _ = writeln!(
         summary,
-        "setup: median {:.3} s of {SETUPS} (materialize {:.3} s, checkpoint {:.3} s, recover {:.3} s, image {} bytes)",
+        "setup: median {:.3} s of {} quiet set-ups, {:.3} s of all {SETUPS} \
+         (materialize {:.3} s, checkpoint {:.3} s, recover {:.3} s, image {} bytes)",
+        median_f64(&quiet_setups),
+        quiet_setups.len(),
         median_of(|s| s.total_s),
         median_of(|s| s.materialize_s),
         median_of(|s| s.checkpoint_s),

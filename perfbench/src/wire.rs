@@ -3,11 +3,14 @@
 
 use crate::check::{judge_query, judge_txn, KeptAnswer, Verdict};
 use crate::gen::{Req, Schedule, Store, Workload, WARMUP_PER_CLIENT};
+use crate::steal::{epoch, slice_of, SLICE_NS};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 use subq_server::frame::{read_frame, write_frame, DEFAULT_MAX_PAYLOAD};
 
@@ -67,12 +70,13 @@ impl Subqd {
         }
     }
 
-    /// The server's peak resident set (`VmHWM`), in MiB.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
+    /// The server's peak resident set so far.
     pub fn peak_rss_mb(&self) -> Option<f64> {
-        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id())).ok()?;
-        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-        let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-        Some(kb / 1024.0)
+        peak_rss_mb(self.child.id())
     }
 
     /// Asks for a clean shutdown on stdin and waits for the exit.
@@ -108,6 +112,14 @@ impl Drop for Subqd {
     }
 }
 
+/// The peak resident set (`VmHWM`) of process `pid`, in MiB.
+fn peak_rss_mb(pid: u32) -> Option<f64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -128,7 +140,7 @@ pub struct Sample {
     pub client: usize,
     /// Position in the client's schedule.
     pub index: usize,
-    /// Send time, from the start of the drive (warm-up included).
+    /// Send time, from the run's epoch.
     pub at_ns: u64,
     /// Sent inside the timed window (not warm-up).
     pub timed: bool,
@@ -147,6 +159,8 @@ pub struct ClientLog {
     pub kept: Vec<KeptAnswer>,
     pub errors: Vec<String>,
     pub busy: usize,
+    /// When the client's timed window opened, from the run's epoch.
+    pub opened_ns: u64,
     /// Wall time from the opening of the timed window to the client's
     /// last reply.
     pub finished_ns: u64,
@@ -156,11 +170,39 @@ pub struct ClientLog {
 pub struct WireRun {
     pub logs: Vec<ClientLog>,
     pub window_ns: u64,
+    /// The server's peak resident set once [`RssProbe::after`] timed
+    /// requests were answered (`None` if the run sent fewer).
+    pub rss_mb: Option<f64>,
 }
 
 impl WireRun {
     pub fn samples(&self) -> impl Iterator<Item = &Sample> {
         self.logs.iter().flat_map(|log| log.samples.iter())
+    }
+
+    /// Acknowledged requests in each whole slice of the timeline
+    /// ([`SLICE_NS`]) inside the timed window. A request that spans a
+    /// boundary counts in each slice by the share of its round trip that
+    /// fell there.
+    pub fn ops_per_slice(&self) -> BTreeMap<u64, f64> {
+        let opened = self.logs.iter().map(|l| l.opened_ns).min().unwrap_or(0);
+        let first = opened.div_ceil(SLICE_NS);
+        let end = slice_of(opened + self.window_ns);
+        let mut per_slice: BTreeMap<u64, f64> =
+            (first..end.max(first + 1)).map(|s| (s, 0.0)).collect();
+        for s in self.samples().filter(|s| s.timed && !s.failed) {
+            let (start, end) = (s.at_ns, s.at_ns + s.latency_ns.max(1));
+            let mut at = start;
+            while at < end {
+                let slice = slice_of(at);
+                let until = end.min((slice + 1) * SLICE_NS);
+                if let Some(ops) = per_slice.get_mut(&slice) {
+                    *ops += (until - at) as f64 / (end - start) as f64;
+                }
+                at = until;
+            }
+        }
+        per_slice
     }
 }
 
@@ -183,9 +225,19 @@ impl Expectations<'_> {
     }
 }
 
+/// When to read the server's peak resident set: after a fixed number of
+/// timed requests rather than at the end of the window, so that a run
+/// the machine slowed down, which sends fewer requests, still reports
+/// the memory of the same work.
+pub struct RssProbe {
+    pub pid: u32,
+    pub after: usize,
+}
+
 /// Runs `clients` closed-loop clients: each sends its warm-up, all meet
 /// at a barrier, then each sends until `window` has passed, waiting for
 /// every reply before the next request.
+#[allow(clippy::too_many_arguments)]
 pub fn drive(
     addr: SocketAddr,
     workload: Workload,
@@ -194,13 +246,18 @@ pub fn drive(
     clients: usize,
     window: Duration,
     expect: &Expectations<'_>,
+    rss: &RssProbe,
 ) -> WireRun {
     let barrier = Barrier::new(clients);
-    let base = Instant::now();
+    let timed_sent = AtomicUsize::new(0);
+    let rss_mb = OnceLock::new();
+    let base = epoch();
     let logs: Vec<ClientLog> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|client| {
                 let barrier = &barrier;
+                let timed_sent = &timed_sent;
+                let rss_mb = &rss_mb;
                 scope.spawn(move || {
                     let run = ClientRun {
                         addr,
@@ -213,6 +270,9 @@ pub fn drive(
                         expect,
                         barrier,
                         base,
+                        rss,
+                        timed_sent,
+                        rss_mb,
                     };
                     run_client(&run)
                 })
@@ -224,7 +284,11 @@ pub fn drive(
             .collect()
     });
     let window_ns = logs.iter().map(|l| l.finished_ns).max().unwrap_or(0).max(1);
-    WireRun { logs, window_ns }
+    WireRun {
+        logs,
+        window_ns,
+        rss_mb: rss_mb.get().copied(),
+    }
 }
 
 struct ClientRun<'a> {
@@ -238,6 +302,10 @@ struct ClientRun<'a> {
     expect: &'a Expectations<'a>,
     barrier: &'a Barrier,
     base: Instant,
+    rss: &'a RssProbe,
+    /// Timed requests answered so far, all clients together.
+    timed_sent: &'a AtomicUsize,
+    rss_mb: &'a OnceLock<f64>,
 }
 
 fn run_client(run: &ClientRun<'_>) -> ClientLog {
@@ -252,6 +320,9 @@ fn run_client(run: &ClientRun<'_>) -> ClientLog {
         expect,
         barrier,
         base,
+        rss,
+        timed_sent,
+        rss_mb,
     } = *run;
     let mut log = ClientLog::default();
     let mut schedule = Schedule::new(workload, store, seed, client, clients);
@@ -267,7 +338,9 @@ fn run_client(run: &ClientRun<'_>) -> ClientLog {
         let index = schedule.issued();
         if index == WARMUP_PER_CLIENT {
             barrier.wait();
-            opened = Some(Instant::now());
+            let now = Instant::now();
+            log.opened_ns = now.duration_since(base).as_nanos() as u64;
+            opened = Some(now);
         }
         if let Some(opened) = opened {
             if opened.elapsed() >= window {
@@ -342,6 +415,11 @@ fn run_client(run: &ClientRun<'_>) -> ClientLog {
             }
         }
         log.samples.push(sample);
+        if opened.is_some() && timed_sent.fetch_add(1, Ordering::Relaxed) + 1 == rss.after {
+            if let Some(mb) = peak_rss_mb(rss.pid) {
+                let _ = rss_mb.set(mb);
+            }
+        }
     }
     if opened.is_none() {
         // Ended during warm-up: keep the barrier's count, the other
@@ -357,15 +435,16 @@ fn run_client(run: &ClientRun<'_>) -> ClientLog {
 /// Transactions each write probe commits.
 const PROBE_COMMITS: usize = 128;
 
-/// Write probe `probe` of the read-only workloads, which have no commits
-/// of their own: on a freshly set-up server that serves nothing else, one
-/// client commits slice `probe` of the store's transaction pool
-/// ([`PROBE_COMMITS`] transactions), one at a time — the commit latency
-/// of a server whose readers are idle. The slices do not depend on the
+/// A write probe of the read-only workloads, which have no commits of
+/// their own: on a freshly set-up server that serves nothing else, one
+/// client commits the first [`PROBE_COMMITS`] transactions of the store's
+/// pool, one at a time — the commit latency of a server whose readers
+/// are idle. Every probe commits the same transactions, whatever the
 /// seed: transactions differ in cost by orders of magnitude (a retraction
 /// that misses is free, a new object copies the name table), so a seeded
-/// draw would move the median by itself.
-pub fn probe_commits(addr: SocketAddr, store: &Store, probe: usize) -> ClientLog {
+/// draw would move the median by itself, and so would keeping the commits
+/// of some probes and not others if they committed different ones.
+pub fn probe_commits(addr: SocketAddr, store: &Store) -> ClientLog {
     let mut log = ClientLog::default();
     let mut conn = match connect(addr) {
         Ok(conn) => conn,
@@ -374,9 +453,9 @@ pub fn probe_commits(addr: SocketAddr, store: &Store, probe: usize) -> ClientLog
             return log;
         }
     };
-    let base = Instant::now();
-    let first = probe * PROBE_COMMITS;
-    for txn in first..(first + PROBE_COMMITS).min(store.transactions.len()) {
+    let base = epoch();
+    let started = Instant::now();
+    for txn in 0..PROBE_COMMITS.min(store.transactions.len()) {
         let text = Req::Txn(txn).text(store);
         let sent = Instant::now();
         let reply = round_trip(&mut conn, text.as_bytes());
@@ -409,7 +488,63 @@ pub fn probe_commits(addr: SocketAddr, store: &Store, probe: usize) -> ClientLog
             return log;
         }
     }
-    log.finished_ns = base.elapsed().as_nanos() as u64;
+    log.finished_ns = started.elapsed().as_nanos() as u64;
     let _ = round_trip(&mut conn, b"BYE");
     log
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(at_ns: u64, latency_ns: u64) -> Sample {
+        Sample {
+            client: 0,
+            index: 0,
+            at_ns,
+            timed: true,
+            latency_ns,
+            txn: None,
+            failed: false,
+            version: 0,
+            answers: 0,
+        }
+    }
+
+    #[test]
+    fn ops_per_slice_splits_boundary_requests() {
+        const MS: u64 = 1_000_000;
+        let opened = 500 * MS;
+        let mut log = ClientLog {
+            opened_ns: opened,
+            ..ClientLog::default()
+        };
+        // Slices 0 and 2: five 50 ms requests each. One slow request
+        // starts at 250 ms and runs 375 ms: two thirds of it fall in
+        // slice 1, one third in slice 2.
+        for slice in [0, 2] {
+            for i in 0..5 {
+                log.samples
+                    .push(sample(opened + slice * 250 * MS + i * 50 * MS, 50 * MS));
+            }
+        }
+        log.samples.push(sample(opened + 250 * MS, 375 * MS));
+        // A failed request counts nowhere.
+        let mut failed = sample(opened, 10 * MS);
+        failed.failed = true;
+        log.samples.push(failed);
+        let run = WireRun {
+            logs: vec![log],
+            window_ns: 750 * MS,
+            rss_mb: None,
+        };
+        // The window's slices of the timeline are 2, 3 and 4.
+        let ops: Vec<(u64, f64)> = run.ops_per_slice().into_iter().collect();
+        let expected = [(2, 5.0), (3, 2.0 / 3.0), (4, 5.0 + 1.0 / 3.0)];
+        assert_eq!(ops.len(), expected.len());
+        for ((slice, ops), (want_slice, want_ops)) in ops.iter().zip(expected) {
+            assert_eq!(*slice, want_slice);
+            assert!((ops - want_ops).abs() < 1e-9, "slice {slice}: {ops}");
+        }
+    }
 }
