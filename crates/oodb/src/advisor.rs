@@ -3,12 +3,13 @@
 //!
 //! The paper's optimization only pays off when the views a workload needs
 //! are actually materialized — and PRs 1–9 left that choice to a human.
-//! This module closes the loop: every [`Reader`](crate::Reader) records
-//! the *shape* of each executed query into a lock-free per-reader ring
-//! ([`ShapeRing`]); the writer harvests the rings at the publish boundary,
-//! mines frequent shapes with exponential decay, scores each candidate by
-//! expected gain under the [`CostModel`](crate::stats::CostModel), and —
-//! in [`AdvisorMode::Auto`] — materializes the winners through the
+//! This module closes the loop: every [`Reader`](crate::Reader), and the
+//! writer itself, records the *shape* of each executed query into its own
+//! lock-free ring ([`ShapeRing`]); the writer harvests the rings at the
+//! publish boundary, mines frequent shapes with exponential decay, scores
+//! each candidate by expected gain under the
+//! [`CostModel`](crate::stats::CostModel), and — in
+//! [`AdvisorMode::Auto`] — materializes the winners through the
 //! ordinary [`ViewCatalog`](crate::views::ViewCatalog) path and evicts
 //! auto-views the workload has gone cold on. User-declared views are
 //! never touched, and the advisor acts only between transactions, so
@@ -135,10 +136,10 @@ pub struct ShapeEvent {
 }
 
 /// A lock-free bounded single-producer/single-consumer ring of
-/// [`ShapeEvent`]s: the producer is the one [`Reader`](crate::Reader)
-/// owning the ring, the consumer is the writer harvesting at the publish
-/// boundary. A full ring drops the newest event and counts it — the read
-/// path never blocks.
+/// [`ShapeEvent`]s: the producer is the one [`Reader`](crate::Reader) (or
+/// the writer) owning the ring, the consumer is the writer harvesting at
+/// the publish boundary. A full ring drops the newest event and counts
+/// it — the read path never blocks.
 pub struct ShapeRing {
     slots: Box<[UnsafeCell<Option<ShapeEvent>>]>,
     /// Next slot the consumer pops (only the consumer advances it).

@@ -118,9 +118,9 @@ pub(crate) fn write_checkpoint(
         }
     }
 
-    let views = catalog.snapshot();
+    let views = catalog.views();
     put_u32(&mut out, views.len() as u32);
-    for view in &views {
+    for view in views {
         put_str(&mut out, &view.definition.name);
         put_u64(&mut out, version);
         scratch.clear();

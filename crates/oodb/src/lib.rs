@@ -31,6 +31,7 @@ pub mod maintain;
 pub mod metrics;
 pub mod objset;
 pub mod optimizer;
+mod query;
 pub mod snapshot;
 pub mod stats;
 pub mod store;

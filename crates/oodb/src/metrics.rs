@@ -53,8 +53,8 @@ pub struct OodbMetrics {
     /// Gain estimate (cost-model probes) of each auto-materialized shape.
     pub advisor_gain_estimate: Histogram,
     /// Queries routed through each chosen frontier view, summed over all
-    /// views (per-view tallies live in [`Statistics`](crate::stats::Statistics)
-    /// and per-view counters are registered lazily by name).
+    /// views, bumped once per execution (per-view gauges are set by the
+    /// writer's advisor pass and registered lazily by name).
     pub view_hits: Counter,
 }
 

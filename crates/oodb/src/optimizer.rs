@@ -15,26 +15,27 @@
 //! Proposition 3.1: Σ-subsumption of the structural abstractions implies
 //! containment of the answer sets in every database state.
 //!
-//! Since PR 3 the subsuming views are found by traversing the catalog's
-//! subsumption lattice ([`OptimizedDatabase::plan`]): a failed probe of a
-//! view prunes every strictly more specific view below it, so large
-//! hierarchical catalogs cost far fewer than N probes per plan. The flat
-//! linear scan is retained as [`OptimizedDatabase::plan_flat`] — the
-//! reference whose answers the traversal must reproduce (on the
-//! maximal-specific frontier) and the baseline of experiment E9.
+//! The subsuming views are found by traversing the catalog's subsumption
+//! lattice ([`OptimizedDatabase::plan`]): a failed probe of a view prunes
+//! every strictly more specific view below it, so large hierarchical
+//! catalogs cost far fewer than N probes per plan. The flat linear scan
+//! is retained as [`OptimizedDatabase::plan_flat`] — the reference whose
+//! answers the traversal must reproduce (on the maximal-specific
+//! frontier) and the baseline of experiment E9. The writer plans and
+//! executes through the same code as every [`Reader`], over its live
+//! catalog instead of a published snapshot.
 
-use crate::advisor::{
-    normalize_shape, Advisor, AdvisorConfig, AdvisorMode, AdvisorPass, ShapeEvent,
-};
+use crate::advisor::{Advisor, AdvisorConfig, AdvisorMode, AdvisorPass, ShapeRing};
 use crate::durable::{
     recover, DurabilityStats, DurableEngine, DurableError, DurableOptions, StorageBackend,
 };
-use crate::eval::{evaluate_query_over, initial_candidates};
 use crate::maintain::Delta;
+use crate::query::{self, QueryPath};
 use crate::snapshot::{FrozenTranslation, Reader, Snapshot, SnapshotCell};
 use crate::stats::{CostModel, Statistics};
 use crate::store::{Database, ObjId};
 use crate::views::{ClassifyOracle, ViewCatalog, ViewError};
+use fxhash::FxHashMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker};
@@ -121,9 +122,12 @@ pub struct OptimizedDatabase {
     /// mined shapes, budget, and lifecycle counters. Acts only inside
     /// [`OptimizedDatabase::run_advisor`].
     advisor: Advisor,
-    /// Shapes recorded by the *writer's* own executions (readers record
-    /// into their lock-free rings); drained by the advisor pass.
-    shape_log: Vec<ShapeEvent>,
+    /// The shape ring of the writer's own executions, registered in the
+    /// cell like every reader's and harvested with them.
+    shapes: Arc<ShapeRing>,
+    /// View name → harvested executions that filtered it, surfaced as
+    /// the `subq_view_hits{view=…}` gauges in `STATS`.
+    view_hits: FxHashMap<String, u64>,
     /// Data version at the last advisor pass — its delta count scales
     /// the estimated maintenance cost of a candidate view.
     advisor_last_version: u64,
@@ -147,6 +151,7 @@ impl OptimizedDatabase {
             translated: frozen_translation.clone(),
             memo: memo.clone(),
         })));
+        let shapes = cell.new_ring();
         Ok(OptimizedDatabase {
             db,
             translated,
@@ -158,7 +163,8 @@ impl OptimizedDatabase {
             stats: Statistics::new(),
             durable: None,
             advisor: Advisor::default(),
-            shape_log: Vec::new(),
+            shapes,
+            view_hits: FxHashMap::default(),
             advisor_last_version: 0,
         })
     }
@@ -324,8 +330,15 @@ impl OptimizedDatabase {
     /// incremental propagation (see [`crate::maintain`]); called lazily by
     /// [`OptimizedDatabase::execute`], exposed for callers that want to
     /// refresh eagerly or measure maintenance work in isolation.
-    pub fn refresh_views(&self) {
+    pub fn refresh_views(&mut self) {
         self.catalog.refresh(&self.db);
+    }
+
+    /// Re-evaluates every stale view from scratch — the oracle
+    /// ([`ViewCatalog::refresh_full`]) [`OptimizedDatabase::refresh_views`]
+    /// is verified against.
+    pub fn refresh_views_full(&mut self) {
+        self.catalog.refresh_full(&self.db);
     }
 
     /// The cumulative counters of the incremental view maintainer.
@@ -471,7 +484,7 @@ impl OptimizedDatabase {
         let translated = self.frozen_translation();
         let snapshot = Arc::new(Snapshot {
             db: self.db.snapshot_clone(),
-            views: self.catalog.snapshot(),
+            views: self.catalog.views().to_vec(),
             translated,
             memo: self.memo.clone(),
         });
@@ -490,14 +503,6 @@ impl OptimizedDatabase {
     /// [`Reader::sync`] whenever they choose.
     pub fn reader(&self) -> Reader {
         Reader::new(self.cell.clone())
-    }
-
-    /// The shared publication cell. A server hands this to its worker
-    /// threads *before* moving the database into its writer thread; each
-    /// worker then mints its own [`Reader`] via [`SnapshotCell::reader`]
-    /// and follows publications without ever touching the writer.
-    pub fn snapshot_cell(&self) -> Arc<SnapshotCell> {
-        self.cell.clone()
     }
 
     /// The frozen translation for the next snapshot, recloned from the
@@ -570,6 +575,23 @@ impl OptimizedDatabase {
         self.catalog.classify_pending(&mut oracle);
     }
 
+    /// The one query path (the `query` module) over the live catalog. The
+    /// writer's arena is the canonical one, so every id is shareable:
+    /// query shapes planned here are pre-warmed for every reader of the
+    /// current epoch.
+    fn path(&mut self) -> QueryPath<'_> {
+        QueryPath {
+            db: &self.db,
+            views: self.catalog.views(),
+            schema: &self.translated.schema,
+            memo: &self.memo,
+            shared_bound: usize::MAX,
+            vocabulary: &mut self.translated.vocabulary,
+            arena: &mut self.translated.arena,
+            cache: &mut self.subsumption_cache,
+        }
+    }
+
     /// Computes the evaluation plan for a query by traversing the view
     /// lattice from its roots: a view is probed only while every one of
     /// its Hasse parents subsumes the query — since `V₂ ⊑ V₁` and
@@ -582,45 +604,10 @@ impl OptimizedDatabase {
     /// properties against [`OptimizedDatabase::plan_flat`]).
     pub fn plan(&mut self, query: &QueryClassDecl) -> QueryPlan {
         let _span = crate::metrics::metrics().plan_ns.span();
-        let query_concept = match translate_query(
-            query,
-            self.db.model(),
-            &mut self.translated.vocabulary,
-            &mut self.translated.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return QueryPlan::default(),
-        };
-        // Classify pending views first (newly materialized through the raw
-        // catalog, or the whole catalog after a schema change) so that
-        // classification probes are not attributed to this plan's
-        // counters.
+        // Views pending after a schema change or an eviction are
+        // classified first: their probes are not this plan's.
         self.classify_catalog();
-        let checker = SubsumptionChecker::new(&self.translated.schema);
-        let arena = &mut self.translated.arena;
-        let cache = &mut self.subsumption_cache;
-        let memo = &self.memo;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        // Probe through the shared memo too (the writer's arena is the
-        // canonical one, so every id is shareable): query shapes planned
-        // here are pre-warmed for every reader of the current epoch.
-        let traversal = self.catalog.traverse(|view_concept| {
-            checker.subsumes_shared(arena, query_concept, view_concept, cache, memo, usize::MAX)
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
-        }
+        self.path().plan(query, None).unwrap_or_default()
     }
 
     /// The flat reference planner: probes the query against **every**
@@ -678,8 +665,7 @@ impl OptimizedDatabase {
     }
 
     /// One pass over the catalog filling in missing view concepts through
-    /// `view_concept`: the shared lookup of every planner-side consumer
-    /// (the flat scan, [`OptimizedDatabase::view_subsumes`]).
+    /// `view_concept`: the flat scan's view list.
     fn translated_plan_entries(&mut self) -> Vec<(String, usize, ConceptId)> {
         let db = &self.db;
         let queries = &self.translated.queries;
@@ -696,13 +682,10 @@ impl OptimizedDatabase {
     /// tests can verify the classified edges against direct pairwise
     /// checks.
     pub fn view_subsumes(&mut self, sub: &str, sup: &str) -> Option<bool> {
-        let entries = self.translated_plan_entries();
-        let concept_of = |name: &str| {
-            entries
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, _, c)| *c)
-        };
+        // Classification translates every view's concept.
+        self.classify_catalog();
+        let views = self.catalog.views();
+        let concept_of = |name: &str| views.iter().find(|v| v.definition.name == name)?.concept;
         let (a, b) = (concept_of(sub)?, concept_of(sup)?);
         let checker = SubsumptionChecker::new(&self.translated.schema);
         Some(checker.subsumes_cached(
@@ -711,13 +694,6 @@ impl OptimizedDatabase {
             b,
             &mut self.subsumption_cache,
         ))
-    }
-
-    /// The cardinality-statistics catalog, refreshed incrementally from
-    /// the delta log up to the current data version.
-    pub fn statistics(&mut self) -> &Statistics {
-        self.stats.refresh(&self.db);
-        &self.stats
     }
 
     /// Executes a query with the optimizer: refreshes stale views, plans
@@ -734,44 +710,9 @@ impl OptimizedDatabase {
         self.catalog.refresh(&self.db);
         let plan = self.plan(query);
         self.stats.refresh(&self.db);
-        let cost = CostModel::new(&self.stats, &self.db);
-        let chosen = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| self.catalog.view(name))
-            .min_by(|a, b| {
-                let estimate = |v: &crate::views::MaterializedView| {
-                    cost.filter_cost(cost.estimated_candidates(v.extent.len(), query), query)
-                };
-                estimate(a).total_cmp(&estimate(b))
-            });
-        let (answers, exec) = match chosen {
-            Some(view) => {
-                let candidates = cost.narrow_candidates(&view.extent, query);
-                let answers = evaluate_query_over(&self.db, query, Some(&candidates));
-                let stats = ExecutionStats {
-                    candidates_examined: candidates.len(),
-                    used_view: Some(view.definition.name.clone()),
-                    answers: answers.len(),
-                };
-                (answers, stats)
-            }
-            None => self.execute_unoptimized(query),
-        };
-        if let Some(view) = exec.used_view.as_deref() {
-            self.stats.record_view_hit(view);
-        }
-        if self.cell.recording() && query.constraint.is_none() {
-            // The writer records into its own log rather than a ring — it
-            // is the harvester, so there is nobody to race with.
-            self.shape_log.push(ShapeEvent {
-                shape: Arc::new(normalize_shape(query)),
-                used_view: exec.used_view.clone(),
-                candidates_examined: exec.candidates_examined as u64,
-                answers: exec.answers as u64,
-            });
-        }
-        (answers, exec)
+        let shapes = self.cell.recording().then_some(&*self.shapes);
+        let (db, views) = (&self.db, self.catalog.views());
+        query::execute(db, views, &self.stats, &plan, query, shapes)
     }
 
     /// Configures the workload-adaptive view advisor (see
@@ -795,8 +736,8 @@ impl OptimizedDatabase {
         self.advisor.report_lines()
     }
 
-    /// One advisor pass at the publish boundary: harvests every reader's
-    /// shape ring plus the writer's own shape log, folds the events into
+    /// One advisor pass at the publish boundary: harvests every shape
+    /// ring (each reader's and the writer's own), folds the events into
     /// the decayed frequency table, and — in [`AdvisorMode::Auto`] —
     /// evicts cold auto-views and materializes the gain-scored winners
     /// through the ordinary catalog path. A winner the lattice already
@@ -814,20 +755,17 @@ impl OptimizedDatabase {
         }
         let mut events = Vec::new();
         self.cell.harvest_shapes(&mut events);
-        // Reader-side view hits arrive only through the rings; the
-        // writer's own executions tallied theirs directly in `execute`.
-        for event in &events {
-            if let Some(view) = event.used_view.as_deref() {
-                self.stats.record_view_hit(view);
-            }
+        // Per-view tallies arrive through the rings; the global
+        // `subq_view_hits_total` was bumped at execution.
+        for view in events.iter().filter_map(|e| e.used_view.as_deref()) {
+            *self.view_hits.entry(view.to_owned()).or_insert(0) += 1;
         }
-        events.append(&mut self.shape_log);
         self.advisor.absorb(&events);
         self.stats.refresh(&self.db);
         // Surface the per-view tallies in the exposition (`STATS` over
         // the wire). Gauges are set, not bumped, so passes are idempotent.
-        for (view, hits) in self.stats.view_hit_counts() {
-            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(hits as i64);
+        for (view, hits) in &self.view_hits {
+            subq_telemetry::gauge(&format!("subq_view_hits{{view=\"{view}\"}}")).set(*hits as i64);
         }
         let version = self.db.data_version();
         let deltas = version.saturating_sub(self.advisor_last_version);
@@ -923,14 +861,7 @@ impl OptimizedDatabase {
     /// Executes a query without using any materialized view (the baseline
     /// the paper's optimization is compared against).
     pub fn execute_unoptimized(&self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
-        let candidates = initial_candidates(&self.db, query);
-        let answers = evaluate_query_over(&self.db, query, Some(&candidates));
-        let stats = ExecutionStats {
-            candidates_examined: candidates.len(),
-            used_view: None,
-            answers: answers.len(),
-        };
-        (answers, stats)
+        query::execute_unoptimized(&self.db, query)
     }
 }
 
@@ -1132,11 +1063,7 @@ mod tests {
         odb.materialize_view("Person").expect("materializes");
         // Classification at materialization time already translated and
         // cached every view concept.
-        assert!(odb
-            .catalog()
-            .plan_entries()
-            .iter()
-            .all(|(_, _, concept)| concept.is_some()));
+        assert!(odb.catalog().views().iter().all(|v| v.concept.is_some()));
         let query = model.query_class("QueryPatient").expect("declared");
         let first = odb.plan(query);
         let second = odb.plan(query);

@@ -37,23 +37,23 @@
 //! stay in the reader's small private [`SubsumptionCache`] (which also
 //! keeps the saturated fact closures, LRU-capped). The writer probes with
 //! the same memo, so query shapes it has planned are pre-warmed for every
-//! reader.
+//! reader — writer and readers plan and execute through the same code.
 
-use crate::advisor::{normalize_shape, ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
-use crate::eval::{evaluate_query_over, initial_candidates};
+use crate::advisor::{ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
 use crate::optimizer::{ExecutionStats, QueryPlan};
+use crate::query::{self, QueryPath};
 use crate::stats::{CostModel, Statistics};
 use crate::store::{Database, ObjId};
-use crate::views::{traverse_lattice, traverse_lattice_traced, MaterializedView, TraversalTrace};
-use std::collections::{BTreeSet, HashMap};
+use crate::views::{MaterializedView, TraversalTrace};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
-use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker};
+use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache};
 use subq_concepts::schema::Schema;
 use subq_concepts::symbol::Vocabulary;
-use subq_concepts::term::{ConceptId, TermArena};
+use subq_concepts::term::TermArena;
 use subq_dl::QueryClassDecl;
-use subq_translate::{translate_query, TranslatedModel};
+use subq_translate::TranslatedModel;
 
 #[cfg(doc)]
 use crate::optimizer::OptimizedDatabase;
@@ -70,8 +70,6 @@ pub struct FrozenTranslation {
     pub arena: TermArena,
     /// The SL schema Σ.
     pub schema: Schema,
-    /// Pre-translated query-class concepts, by name.
-    pub queries: HashMap<String, ConceptId>,
 }
 
 impl FrozenTranslation {
@@ -80,7 +78,6 @@ impl FrozenTranslation {
             vocabulary: translated.vocabulary.clone(),
             arena: translated.arena.clone(),
             schema: translated.schema.clone(),
-            queries: translated.queries.clone(),
         }
     }
 
@@ -122,22 +119,6 @@ impl Snapshot {
     /// The data version this snapshot was published at.
     pub fn data_version(&self) -> u64 {
         self.db.data_version()
-    }
-
-    /// The schema version this snapshot was published at.
-    pub fn schema_version(&self) -> u64 {
-        self.db.schema_version()
-    }
-
-    /// The frozen translation.
-    pub fn translated(&self) -> &FrozenTranslation {
-        &self.translated
-    }
-
-    /// `(hits, misses)` of the shared subsumption memo attached to this
-    /// snapshot's schema epoch.
-    pub fn shared_memo_stats(&self) -> (u64, u64) {
-        self.memo.stats()
     }
 }
 
@@ -185,11 +166,13 @@ impl SnapshotCell {
         self.record_shapes.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn register_ring(&self, ring: &Arc<ShapeRing>) {
-        self.rings
-            .lock()
-            .expect("shape ring registry poisoned")
-            .push(Arc::downgrade(ring));
+    /// A new shape ring, registered for harvest — one per reader, and
+    /// one for the writer's own executions.
+    pub(crate) fn new_ring(&self) -> Arc<ShapeRing> {
+        let ring = ShapeRing::new(SHAPE_RING_CAPACITY);
+        let mut rings = self.rings.lock().expect("shape ring registry poisoned");
+        rings.push(Arc::downgrade(&ring));
+        ring
     }
 
     /// Drains every live reader ring into `into` and prunes rings whose
@@ -213,14 +196,6 @@ impl SnapshotCell {
     pub(crate) fn store(&self, snapshot: Arc<Snapshot>) {
         *self.current.write().expect("snapshot cell poisoned") = snapshot;
     }
-
-    /// A new lock-free read handle over this cell — the snapshot handout
-    /// for components (like a server's worker threads) that hold the
-    /// shared cell but not the [`OptimizedDatabase`](crate::OptimizedDatabase)
-    /// itself, which a writer thread may own exclusively.
-    pub fn reader(self: &Arc<Self>) -> Reader {
-        Reader::new(self.clone())
-    }
 }
 
 /// A read handle over published snapshots: plans, probes, and executes
@@ -243,7 +218,6 @@ pub struct Reader {
     vocabulary: Vocabulary,
     arena: TermArena,
     cache: SubsumptionCache,
-    shared_bound: usize,
     /// Cardinality statistics of the pinned snapshot, collected lazily on
     /// first execution and dropped when [`Reader::sync`] adopts a newer
     /// snapshot (published snapshots carry an empty log positioned at
@@ -259,18 +233,13 @@ pub struct Reader {
 impl Reader {
     pub(crate) fn new(cell: Arc<SnapshotCell>) -> Self {
         let snapshot = cell.load();
-        let translated = &snapshot.translated;
-        let (vocabulary, arena) = (translated.vocabulary.clone(), translated.arena.clone());
-        let shared_bound = translated.shared_bound();
-        let shapes = ShapeRing::new(SHAPE_RING_CAPACITY);
-        cell.register_ring(&shapes);
+        let shapes = cell.new_ring();
         Reader {
+            vocabulary: snapshot.translated.vocabulary.clone(),
+            arena: snapshot.translated.arena.clone(),
             cell,
             snapshot,
-            vocabulary,
-            arena,
             cache: SubsumptionCache::new(),
-            shared_bound,
             stats: None,
             shapes,
         }
@@ -305,7 +274,6 @@ impl Reader {
         if !Arc::ptr_eq(&latest.translated, &self.snapshot.translated) {
             self.vocabulary = latest.translated.vocabulary.clone();
             self.arena = latest.translated.arena.clone();
-            self.shared_bound = latest.translated.shared_bound();
             self.cache.clear();
         }
         self.snapshot = latest;
@@ -313,225 +281,76 @@ impl Reader {
         true
     }
 
-    /// `(hits, misses)` of this reader's private subsumption cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+    /// The one query path over the pinned snapshot and this reader's
+    /// private translation state.
+    fn path(&mut self) -> QueryPath<'_> {
+        QueryPath {
+            db: &self.snapshot.db,
+            views: &self.snapshot.views,
+            schema: &self.snapshot.translated.schema,
+            memo: &self.snapshot.memo,
+            shared_bound: self.snapshot.translated.shared_bound(),
+            vocabulary: &mut self.vocabulary,
+            arena: &mut self.arena,
+            cache: &mut self.cache,
+        }
     }
 
     /// Plans a query against the pinned snapshot's view lattice — the
-    /// same root-down, prune-on-failure traversal as
-    /// [`OptimizedDatabase::plan`], but over the immutable published view
-    /// list: no catalog lock, no classification pass (published views are
+    /// same traversal as [`OptimizedDatabase::plan`], over the immutable
+    /// published view list: no classification pass (published views are
     /// classified), no writer involvement.
     pub fn plan(&mut self, query: &QueryClassDecl) -> QueryPlan {
         let _span = crate::metrics::metrics().reader_plan_ns.span();
-        let snapshot = Arc::clone(&self.snapshot);
-        let query_concept = match translate_query(
-            query,
-            snapshot.db.model(),
-            &mut self.vocabulary,
-            &mut self.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return QueryPlan::default(),
-        };
-        let checker = SubsumptionChecker::new(&snapshot.translated.schema);
-        let arena = &mut self.arena;
-        let cache = &mut self.cache;
-        let bound = self.shared_bound;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        let traversal = traverse_lattice(&snapshot.views, |view_concept| {
-            checker.subsumes_shared(
-                arena,
-                query_concept,
-                view_concept,
-                cache,
-                &snapshot.memo,
-                bound,
-            )
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
-        }
+        self.path().plan(query, None).unwrap_or_default()
     }
 
-    /// Executes a query against the pinned snapshot: plans, chooses the
-    /// cheapest subsuming frontier view by estimated filter cost, narrows
-    /// its stored extension by the query's schema-superclass extents
-    /// (cheapest intersection first — same cost model as
-    /// [`OptimizedDatabase::execute`]), filters the narrowed candidates,
-    /// and falls back to a full evaluation when no view subsumes — all
-    /// over immutable state.
+    /// Executes a query against the pinned snapshot exactly like
+    /// [`OptimizedDatabase::execute`] — cheapest frontier view, narrowed,
+    /// filtered; a full evaluation when no view subsumes — all over
+    /// immutable state. When the advisor records, the shape goes into
+    /// this reader's ring (never blocks, never allocates past the ring).
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
         let _span = crate::metrics::metrics().reader_execute_ns.span();
         let plan = self.plan(query);
-        let snapshot = Arc::clone(&self.snapshot);
+        let snapshot = &self.snapshot;
         let stats = self
             .stats
             .get_or_insert_with(|| Statistics::collect(&snapshot.db));
-        let cost = CostModel::new(stats, &snapshot.db);
-        let chosen = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| snapshot.view(name))
-            .min_by(|a, b| {
-                let estimate = |v: &&MaterializedView| {
-                    cost.filter_cost(cost.estimated_candidates(v.extent.len(), query), query)
-                };
-                estimate(a).total_cmp(&estimate(b))
-            });
-        let (answers, exec) = match chosen {
-            Some(view) => {
-                let candidates = cost.narrow_candidates(&view.extent, query);
-                let answers = evaluate_query_over(&snapshot.db, query, Some(&candidates));
-                let stats = ExecutionStats {
-                    candidates_examined: candidates.len(),
-                    used_view: Some(view.definition.name.clone()),
-                    answers: answers.len(),
-                };
-                (answers, stats)
-            }
-            None => self.execute_unoptimized(query),
-        };
-        if let Some(view) = exec.used_view.as_deref() {
-            if let Some(stats) = self.stats.as_mut() {
-                stats.record_view_hit(view);
-            }
-        }
-        // Shape recording for the advisor: one relaxed load when off;
-        // when on, normalize and push into this reader's bounded ring
-        // (never blocks, never allocates past the ring). Constrained
-        // queries are skipped — their shapes cannot be materialized.
-        if self.cell.recording() && query.constraint.is_none() {
-            self.shapes.push(ShapeEvent {
-                shape: Arc::new(normalize_shape(query)),
-                used_view: exec.used_view.clone(),
-                candidates_examined: exec.candidates_examined as u64,
-                answers: exec.answers as u64,
-            });
-        }
-        (answers, exec)
-    }
-
-    /// Executes a query against the pinned snapshot without using any
-    /// materialized view.
-    pub fn execute_unoptimized(&self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
-        let candidates = initial_candidates(&self.snapshot.db, query);
-        let answers = evaluate_query_over(&self.snapshot.db, query, Some(&candidates));
-        let stats = ExecutionStats {
-            candidates_examined: candidates.len(),
-            used_view: None,
-            answers: answers.len(),
-        };
-        (answers, stats)
-    }
-
-    /// Whether one object is an answer of the query in the pinned
-    /// snapshot (the membership check of [`crate::eval::is_member`], over
-    /// immutable state).
-    pub fn is_member(&self, query: &QueryClassDecl, object: ObjId) -> bool {
-        crate::eval::is_member(&self.snapshot.db, query, object)
+        let shapes = self.cell.recording().then_some(&*self.shapes);
+        query::execute(&snapshot.db, &snapshot.views, stats, &plan, query, shapes)
     }
 
     /// Explains how the query would be planned and executed against the
-    /// pinned snapshot: the same traversal as [`Reader::plan`] (so the
-    /// report's counters are exactly the `QueryPlan` the planner would
-    /// return for this query in this cache state), plus the per-view
-    /// probe order, the pruned views, the cost model's estimate for each
+    /// pinned snapshot: the same plan [`Reader::plan`] returns in this
+    /// cache state (probes go through the shared memo, so explaining
+    /// warms the caches like planning does), plus the per-view probe
+    /// order, the pruned views, the cost model's estimate for each
     /// frontier member with the executor's pick, and the narrowing
-    /// (intersection) order. Probes go through the shared memo like any
-    /// plan, so explaining warms the caches the same way planning does.
+    /// (intersection) order.
     pub fn explain(&mut self, query: &QueryClassDecl) -> ExplainReport {
-        let snapshot = Arc::clone(&self.snapshot);
-        let query_concept = match translate_query(
-            query,
-            snapshot.db.model(),
-            &mut self.vocabulary,
-            &mut self.arena,
-        ) {
-            Ok(concept) => concept,
-            Err(_) => return ExplainReport::default(),
+        let mut trace = TraversalTrace::default();
+        let Some(plan) = self.path().plan(query, Some(&mut trace)) else {
+            return ExplainReport::default();
         };
-        let checker = SubsumptionChecker::new(&snapshot.translated.schema);
-        let arena = &mut self.arena;
-        let cache = &mut self.cache;
-        let bound = self.shared_bound;
-        let (hits_before, misses_before) = cache.stats();
-        let (saturations_before, _) = cache.saturation_stats();
-        let (traversal, trace) = traverse_lattice_traced(&snapshot.views, |view_concept| {
-            checker.subsumes_shared(
-                arena,
-                query_concept,
-                view_concept,
-                cache,
-                &snapshot.memo,
-                bound,
-            )
-        });
-        let (hits_after, misses_after) = cache.stats();
-        let (saturations_after, _) = cache.saturation_stats();
-        let mut subsuming = traversal.frontier;
-        subsuming.sort_by_key(|(_, size)| *size);
-        let plan = QueryPlan {
-            chosen_view: subsuming.first().map(|(name, _)| name.clone()),
-            subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
-            cached_probes: (hits_after - hits_before) as usize,
-            fresh_probes: (misses_after - misses_before) as usize,
-            fact_saturations: (saturations_after - saturations_before) as usize,
-            probes_pruned: traversal.pruned,
-            lattice_depth: traversal.depth,
-        };
+        let snapshot = &self.snapshot;
         let stats = self
             .stats
             .get_or_insert_with(|| Statistics::collect(&snapshot.db));
         let cost = CostModel::new(stats, &snapshot.db);
-        let frontier: Vec<FrontierEstimate> = plan
-            .subsuming_views
-            .iter()
-            .filter_map(|name| snapshot.view(name))
-            .map(|v| {
-                let estimated_candidates = cost.estimated_candidates(v.extent.len(), query);
-                FrontierEstimate {
-                    name: v.definition.name.clone(),
-                    extent: v.extent.len(),
-                    estimated_candidates,
-                    estimated_cost: cost.filter_cost(estimated_candidates, query),
-                }
-            })
-            .collect();
-        // The executor's pick, chosen exactly like `Reader::execute`
-        // (iterator `min_by` keeps the *last* of equal minima).
-        let chosen = frontier
-            .iter()
-            .min_by(|a, b| a.estimated_cost.total_cmp(&b.estimated_cost))
-            .map(|f| f.name.clone());
-        let actual_candidates = chosen
-            .as_deref()
-            .and_then(|name| snapshot.view(name))
-            .map(|v| cost.narrow_candidates(&v.extent, query).len());
-        let narrowing_order = cost
-            .intersection_order(query)
-            .into_iter()
-            .map(|(class, cardinality)| (class.to_owned(), cardinality))
-            .collect();
+        let mut frontier = Vec::new();
+        let chosen = query::choose(&snapshot.views, &plan, &cost, query, Some(&mut frontier));
         ExplainReport {
+            chosen: chosen.map(|v| v.definition.name.clone()),
+            actual_candidates: chosen.map(|v| cost.narrow_candidates(&v.extent, query).len()),
+            narrowing_order: cost
+                .intersection_order(query)
+                .into_iter()
+                .map(|(class, cardinality)| (class.to_owned(), cardinality))
+                .collect(),
             plan,
             trace,
             frontier,
-            chosen,
-            narrowing_order,
-            actual_candidates,
         }
     }
 }

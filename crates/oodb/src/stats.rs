@@ -46,12 +46,6 @@ pub struct Statistics {
     pub incremental_refreshes: u64,
     /// Class/attribute entries re-read across all incremental refreshes.
     pub entries_touched: u64,
-    /// View name → number of executions that chose it as the frontier
-    /// member to filter. Observed, not derivable from the store, so it is
-    /// preserved verbatim across full collections and incremental
-    /// refreshes — the advisor's eviction signal, also surfaced through
-    /// the `subq_view_hits*` telemetry counters in `STATS`.
-    view_hits: FxHashMap<String, u64>,
 }
 
 impl Statistics {
@@ -150,32 +144,6 @@ impl Statistics {
     /// asserted).
     pub fn attr_cardinality(&self, attribute: &str) -> AttrCardinality {
         self.attrs.get(attribute).copied().unwrap_or_default()
-    }
-
-    /// Tallies one execution that routed through `view` — called by the
-    /// executors with the chosen frontier member.
-    pub fn record_view_hit(&mut self, view: &str) {
-        *self.view_hits.entry(view.to_owned()).or_insert(0) += 1;
-        crate::metrics::metrics().view_hits.inc();
-    }
-
-    /// Tallies `count` harvested reader-side executions of `view` at
-    /// once (the writer absorbs reader hit streams per advisor pass).
-    pub fn record_view_hits(&mut self, view: &str, count: u64) {
-        *self.view_hits.entry(view.to_owned()).or_insert(0) += count;
-        crate::metrics::metrics().view_hits.add(count);
-    }
-
-    /// Executions that chose `view` as the frontier member to filter.
-    pub fn view_hits(&self, view: &str) -> u64 {
-        self.view_hits.get(view).copied().unwrap_or(0)
-    }
-
-    /// Every `(view, hits)` tally, unordered.
-    pub fn view_hit_counts(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.view_hits
-            .iter()
-            .map(|(name, &hits)| (name.as_str(), hits))
     }
 }
 
@@ -417,35 +385,6 @@ mod tests {
         // smallest-extension choice.
         assert!(model.filter_cost(10, &query) < model.filter_cost(11, &query));
         assert!(model.membership_cost(&query) >= 2.0);
-    }
-
-    /// Satellite 2: per-view hit tallies are observed state — a full
-    /// collection (the truncation fallback) must not wipe them.
-    #[test]
-    fn view_hit_tallies_survive_refresh_and_full_collection() {
-        let mut db = hospital();
-        let mut stats = Statistics::collect(&db);
-        stats.record_view_hit("ViewPatient");
-        stats.record_view_hit("ViewPatient");
-        stats.record_view_hits("Person", 3);
-        assert_eq!(stats.view_hits("ViewPatient"), 2);
-        assert_eq!(stats.view_hits("Person"), 3);
-        assert_eq!(stats.view_hits("Nonsense"), 0);
-
-        let mary = db.object("mary").expect("exists");
-        db.assert_class(mary, "Doctor");
-        stats.refresh(&db);
-        assert_eq!(stats.view_hits("ViewPatient"), 2, "incremental refresh");
-
-        let anna = db.add_object("anna");
-        db.assert_class(anna, "Patient");
-        db.truncate_log(db.data_version());
-        stats.refresh(&db);
-        assert_eq!(stats.full_collections, 2, "truncation forced a fallback");
-        assert_eq!(stats.view_hits("ViewPatient"), 2, "full collection");
-        let mut tallies: Vec<(&str, u64)> = stats.view_hit_counts().collect();
-        tallies.sort();
-        assert_eq!(tallies, vec![("Person", 3), ("ViewPatient", 2)]);
     }
 
     #[test]

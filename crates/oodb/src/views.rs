@@ -3,9 +3,10 @@
 //! A view is a query class whose constraint part is empty (Section 2.2);
 //! its answers may be materialized — stored explicitly — so that access to
 //! them is as fast as to any schema class. The catalog below stores the
-//! extensions, refreshes them when the database changes, and is shared
-//! behind a read–write lock so that many queries can consult it
-//! concurrently (the "trader" scenario sketched in Section 6).
+//! extensions and refreshes them when the database changes. The catalog
+//! is owned by the single writer and holds no locks: concurrent queries
+//! (the "trader" scenario sketched in Section 6) read the immutable copy
+//! each published [`Snapshot`](crate::snapshot::Snapshot) carries.
 //!
 //! # The subsumption lattice
 //!
@@ -16,7 +17,7 @@
 //! the first-materialized view stays the *representative* and later
 //! equivalent views attach to it as peers.
 //!
-//! The planner exploits the diagram through [`ViewCatalog::traverse`]:
+//! The planner exploits the diagram through `traverse_lattice`:
 //! because `C ⊑ P` and `Q ⋢ P` imply `Q ⋢ C`, a failed probe of a parent
 //! prunes every view below it, so a query is tested against a pruned
 //! top-down frontier instead of the whole catalog (the flat `O(N)` scan
@@ -44,7 +45,7 @@ use crate::maintain::{refresh_views, routes_nothing, DependencyIndex, Maintenanc
 use crate::objset::ObjSet;
 use crate::store::Database;
 use std::collections::BTreeSet;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use subq_concepts::term::ConceptId;
 use subq_dl::QueryClassDecl;
 
@@ -148,9 +149,9 @@ pub trait ClassifyOracle {
     fn subsumes(&mut self, sub: ConceptId, sup: ConceptId) -> bool;
 }
 
-/// The outcome of one lattice traversal ([`ViewCatalog::traverse`]).
+/// The outcome of one lattice traversal.
 #[derive(Clone, Debug, Default)]
-pub struct LatticeTraversal {
+pub(crate) struct LatticeTraversal {
     /// The maximal-specific subsuming views (`(name, extent size)`): every
     /// view on the frontier subsumes the query, and no strictly more
     /// specific view does. Order follows the traversal; callers sort.
@@ -165,10 +166,9 @@ pub struct LatticeTraversal {
     pub depth: usize,
 }
 
-/// The per-view event log of one traced traversal
-/// ([`traverse_lattice_traced`]) — what EXPLAIN reports beyond the
-/// [`LatticeTraversal`] counters. `probed.len()` equals the traversal's
-/// `probes`; `skipped.len()` equals its `pruned`.
+/// The per-view event log of one traced traversal — what EXPLAIN
+/// reports beyond the plan's counters. `probed.len()` equals the
+/// traversal's probe count; `skipped.len()` equals its pruned count.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalTrace {
     /// Fired probes in traversal order: `(view name, subsumed?)`.
@@ -178,11 +178,19 @@ pub struct TraversalTrace {
     pub skipped: Vec<String>,
 }
 
-/// The maintenance side-state of a catalog: the dependency index (rebuilt
-/// when the set of views or the schema changes) and the cumulative
-/// counters.
+/// How far (in data versions) views may lag behind a routed-nothing log
+/// suffix before an empty refresh consolidates their `fresh_as_of`
+/// stamps. Small enough that the writer's log truncation keeps the log
+/// (and with it every snapshot clone) bounded by ~this many irrelevant
+/// deltas, large enough that the common empty refresh stays a pure read.
+const ROUTED_LAG_CONSOLIDATE: u64 = 1024;
+
+/// The catalog of materialized views, with the maintainer's side-state.
 #[derive(Debug, Default)]
-struct MaintState {
+pub struct ViewCatalog {
+    views: Vec<MaterializedView>,
+    /// The dependency index, rebuilt when the set of views or the schema
+    /// changes.
     index: Option<DependencyIndex>,
     /// Number of views the index was built for.
     indexed_views: usize,
@@ -193,21 +201,8 @@ struct MaintState {
     /// views may lag behind it by `fresh_as_of` without being stale in
     /// substance. Reset when the index is rebuilt.
     routed_through: u64,
+    /// The maintainer's cumulative counters.
     stats: MaintenanceStats,
-}
-
-/// How far (in data versions) views may lag behind a routed-nothing log
-/// suffix before an empty refresh consolidates their `fresh_as_of`
-/// stamps. Small enough that the writer's log truncation keeps the log
-/// (and with it every snapshot clone) bounded by ~this many irrelevant
-/// deltas, large enough that the common empty refresh stays a pure read.
-const ROUTED_LAG_CONSOLIDATE: u64 = 1024;
-
-/// The catalog of materialized views.
-#[derive(Debug, Default)]
-pub struct ViewCatalog {
-    views: RwLock<Vec<MaterializedView>>,
-    maint: RwLock<MaintState>,
 }
 
 impl ViewCatalog {
@@ -216,31 +211,30 @@ impl ViewCatalog {
         ViewCatalog::default()
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<MaterializedView>> {
-        self.views.read().expect("view catalog lock poisoned")
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Vec<MaterializedView>> {
-        self.views.write().expect("view catalog lock poisoned")
-    }
-
     /// Materializes a view: evaluates it once and stores the extension.
     /// The view enters the lattice on the next
     /// [`ViewCatalog::classify_pending`] pass.
-    pub fn materialize(&self, db: &Database, definition: &QueryClassDecl) -> Result<(), ViewError> {
+    pub fn materialize(
+        &mut self,
+        db: &Database,
+        definition: &QueryClassDecl,
+    ) -> Result<(), ViewError> {
         if !definition.is_view() {
             return Err(ViewError::NotStructural {
                 query: definition.name.clone(),
             });
         }
-        let mut views = self.write();
-        if views.iter().any(|v| v.definition.name == definition.name) {
+        if self
+            .views
+            .iter()
+            .any(|v| v.definition.name == definition.name)
+        {
             return Err(ViewError::AlreadyMaterialized {
                 query: definition.name.clone(),
             });
         }
         let extent = evaluate_query_set(db, definition, None);
-        views.push(MaterializedView {
+        self.views.push(MaterializedView {
             definition: Arc::new(definition.clone()),
             extent: Arc::new(extent),
             fresh_as_of: db.data_version(),
@@ -263,11 +257,10 @@ impl ViewCatalog {
     /// `fresh_as_of` is the checkpoint version, so the WAL suffix
     /// replayed after the restore catches every view up through the
     /// ordinary incremental path.
-    pub(crate) fn restore(&self, restored: Vec<(Arc<QueryClassDecl>, Arc<ObjSet>, u64)>) {
-        let mut views = self.write();
-        debug_assert!(views.is_empty(), "restore targets a fresh catalog");
+    pub(crate) fn restore(&mut self, restored: Vec<(Arc<QueryClassDecl>, Arc<ObjSet>, u64)>) {
+        debug_assert!(self.views.is_empty(), "restore targets a fresh catalog");
         for (definition, extent, fresh_as_of) in restored {
-            views.push(MaterializedView {
+            self.views.push(MaterializedView {
                 definition,
                 extent,
                 fresh_as_of,
@@ -283,7 +276,7 @@ impl ViewCatalog {
 
     /// The names of all materialized views.
     pub fn view_names(&self) -> Vec<String> {
-        self.read()
+        self.views
             .iter()
             .map(|v| v.definition.name.clone())
             .collect()
@@ -291,49 +284,28 @@ impl ViewCatalog {
 
     /// A snapshot of one view.
     pub fn view(&self, name: &str) -> Option<MaterializedView> {
-        self.read()
+        self.views
             .iter()
             .find(|v| v.definition.name == name)
             .cloned()
     }
 
-    /// A snapshot of all views.
-    pub fn snapshot(&self) -> Vec<MaterializedView> {
-        self.read().clone()
+    /// All views, in catalog order, with their lattice edges.
+    pub fn views(&self) -> &[MaterializedView] {
+        &self.views
     }
 
-    /// A snapshot of definitions and extent sizes only — without cloning
-    /// the stored extents.
-    pub fn summaries(&self) -> Vec<(QueryClassDecl, usize)> {
-        self.read()
-            .iter()
-            .map(|v| ((*v.definition).clone(), v.extent.len()))
-            .collect()
-    }
-
-    /// What the planner needs per view: name, extent size, and the cached
-    /// translated concept — no definition or extent clones. Views whose
-    /// concept entry is `None` have not been translated since the last
-    /// schema change; [`ViewCatalog::plan_entries_with`] fills them in.
-    pub fn plan_entries(&self) -> Vec<(String, usize, Option<ConceptId>)> {
-        self.read()
-            .iter()
-            .map(|v| (v.definition.name.clone(), v.extent.len(), v.concept))
-            .collect()
-    }
-
-    /// One pass over the catalog for the planner: views whose concept is
-    /// not cached yet are translated through `translate` and the result is
-    /// stored back, all under a single lock acquisition (no per-view
-    /// lookups or definition clones). Views that fail to translate are
-    /// skipped; they are retried on the next plan.
+    /// What the flat planner needs per view — name, extent size, and the
+    /// translated concept — in one pass: views whose concept is not
+    /// cached yet (after a schema change, none is) are translated through
+    /// `translate` and the result is stored back. Views that fail to
+    /// translate are skipped; they are retried on the next plan.
     pub fn plan_entries_with(
-        &self,
+        &mut self,
         mut translate: impl FnMut(&QueryClassDecl) -> Option<ConceptId>,
     ) -> Vec<(String, usize, ConceptId)> {
-        let mut views = self.write();
-        let mut entries = Vec::with_capacity(views.len());
-        for view in views.iter_mut() {
+        let mut entries = Vec::with_capacity(self.views.len());
+        for view in &mut self.views {
             let concept = match view.concept {
                 Some(concept) => concept,
                 None => match translate(&view.definition) {
@@ -353,19 +325,10 @@ impl ViewCatalog {
     /// in materialization order, using the oracle for translation and
     /// subsumption probes. Idempotent: a fully classified catalog returns
     /// without probing.
-    pub fn classify_pending(&self, oracle: &mut impl ClassifyOracle) {
-        // Fast path under the shared lock: planners call this on every
-        // plan, and in steady state (views classified eagerly on
-        // materialization) nothing is pending — don't serialize concurrent
-        // readers on the writer lock just to find that out.
-        if self.read().iter().all(|v| v.classified) {
-            return;
-        }
-        let mut views = self.write();
-        for index in 0..views.len() {
-            if views[index].concept.is_none() {
-                views[index].concept = oracle.concept_of(&views[index].definition);
-            }
+    pub fn classify_pending(&mut self, oracle: &mut impl ClassifyOracle) {
+        let views = &mut self.views;
+        for view in views.iter_mut().filter(|v| v.concept.is_none()) {
+            view.concept = oracle.concept_of(&view.definition);
         }
         for index in 0..views.len() {
             if views[index].classified {
@@ -376,18 +339,8 @@ impl ViewCatalog {
                 // lattice (and out of plans) until a later pass succeeds.
                 continue;
             };
-            classify_one(&mut views, index, concept, oracle);
+            classify_one(views, index, concept, oracle);
         }
-    }
-
-    /// Plans a query by traversing the lattice from its roots: `probe`
-    /// decides whether the query is subsumed by a view concept, a failed
-    /// probe prunes the whole sub-DAG below it (soundly, since subsumption
-    /// is transitive), and the result is the *maximal-specific* subsuming
-    /// frontier. Views not yet classified (see
-    /// [`ViewCatalog::classify_pending`]) are ignored.
-    pub fn traverse(&self, probe: impl FnMut(ConceptId) -> bool) -> LatticeTraversal {
-        traverse_lattice(&self.read(), probe)
     }
 
     /// Depth of the classified lattice (longest root-to-leaf chain,
@@ -396,20 +349,7 @@ impl ViewCatalog {
     /// ([`OptimizedDatabase::plan_flat`](crate::OptimizedDatabase::plan_flat))
     /// reports this for counter parity with the lattice planner.
     pub fn lattice_depth(&self) -> usize {
-        let views = self.read();
-        let (order, _) = representative_topo_order(&views);
-        let mut depth: Vec<usize> = vec![0; views.len()];
-        let mut max = 0;
-        for &i in &order {
-            depth[i] = 1 + views[i]
-                .parents
-                .iter()
-                .map(|&p| depth[p])
-                .max()
-                .unwrap_or(0);
-            max = max.max(depth[i]);
-        }
-        max
+        traverse_lattice(&self.views, |_| true, None).depth
     }
 
     /// Structural invariants of the lattice, as human-readable violations
@@ -417,7 +357,7 @@ impl ViewCatalog {
     /// mirroring, duplicate and self edges, equivalence-peer shape, edge
     /// cleanliness of unclassified views, and acyclicity.
     pub fn lattice_violations(&self) -> Vec<String> {
-        let views = self.read();
+        let views = &self.views;
         let n = views.len();
         let mut out = Vec::new();
         let name = |i: usize| views[i].definition.name.clone();
@@ -488,7 +428,7 @@ impl ViewCatalog {
             }
         }
         // Acyclicity: every representative must sort topologically.
-        let (order, reps) = representative_topo_order(&views);
+        let (order, reps) = representative_topo_order(views);
         if order.len() != reps {
             out.push(format!(
                 "lattice contains a cycle ({} of {reps} representatives sort topologically)",
@@ -502,9 +442,9 @@ impl ViewCatalog {
     /// equivalence links as `(representative, peer)` — for tests and
     /// diagnostics.
     pub fn lattice_edges(&self) -> Vec<(String, String)> {
-        let views = self.read();
+        let views = &self.views;
         let mut out = Vec::new();
-        for view in views.iter() {
+        for view in views {
             for &c in &view.children {
                 out.push((
                     view.definition.name.clone(),
@@ -524,7 +464,7 @@ impl ViewCatalog {
     /// Number of views inserted into the lattice since the last schema
     /// change.
     pub fn classified_count(&self) -> usize {
-        self.read().iter().filter(|v| v.classified).count()
+        self.views.iter().filter(|v| v.classified).count()
     }
 
     /// Drops every cached translated concept **and the whole lattice**
@@ -532,8 +472,8 @@ impl ViewCatalog {
     /// `ConceptId`s point into and the subsumption relation itself — is
     /// re-translated). Views are reclassified on the next
     /// [`ViewCatalog::classify_pending`] pass.
-    pub fn invalidate_concepts(&self) {
-        for view in self.write().iter_mut() {
+    pub fn invalidate_concepts(&mut self) {
+        for view in &mut self.views {
             view.concept = None;
             view.parents.clear();
             view.children.clear();
@@ -551,8 +491,8 @@ impl ViewCatalog {
     /// Ordinary staleness needs no marking: it is the per-view comparison
     /// `fresh_as_of < db.data_version()`. The lattice is untouched:
     /// subsumption never depends on the state.
-    pub fn invalidate(&self) {
-        for view in self.write().iter_mut() {
+    pub fn invalidate(&mut self) {
+        for view in &mut self.views {
             view.force_refresh = true;
         }
     }
@@ -565,77 +505,64 @@ impl ViewCatalog {
     /// Views whose snapshot predates the log's truncation point fall back
     /// to full re-evaluation. Equivalent to [`ViewCatalog::refresh_full`]
     /// on every state (`tests/incremental_equivalence.rs`).
-    pub fn refresh(&self, db: &Database) {
+    pub fn refresh(&mut self, db: &Database) {
         let now = db.data_version();
-        // Fast path under the shared lock: nothing stale, nothing to do.
-        if self
-            .read()
+        let views = &mut self.views;
+        if views
             .iter()
             .all(|v| !v.force_refresh && v.fresh_as_of >= now)
         {
             return;
         }
-        let mut maint = self.maint.write().expect("maintenance lock poisoned");
+        if self.index.is_none()
+            || self.indexed_views != views.len()
+            || self.indexed_schema != db.schema_version()
         {
-            let views = self.read();
-            let index_stale = maint.index.is_none()
-                || maint.indexed_views != views.len()
-                || maint.indexed_schema != db.schema_version();
-            if index_stale {
-                maint.index = Some(DependencyIndex::build(
-                    db.model(),
-                    views.iter().map(|v| v.definition.as_ref()),
-                ));
-                maint.indexed_views = views.len();
-                maint.indexed_schema = db.schema_version();
-                maint.routed_through = 0;
-            }
-            let forced = views.iter().any(|v| v.force_refresh);
-            // Empty-refresh early return: when the unseen log suffix
-            // routes **zero** views through the dependency index (and no
-            // view is forced or beyond the log's reach), no view state is
-            // touched at all — no write lock, no candidate sets, no
-            // per-view bookkeeping. The scanned-through version is cached
-            // so the next refresh does not even re-scan the suffix.
-            if !forced && maint.routed_through >= now {
-                return;
-            }
-            let index = maint.index.as_ref().expect("index built above");
-            if !forced && routes_nothing(db, &views, index) {
-                maint.routed_through = now;
-                maint.stats.empty_refreshes += 1;
-                crate::metrics::metrics().maint_empty_refreshes.inc();
-                // Consolidate once the lag grows: views that are fresh in
-                // substance but lag by version hold back the writer's log
-                // truncation (the log would grow toward its cap, bloat
-                // snapshot clones, and eventually force full
-                // re-evaluations when the cap drops entries). Bumping
-                // `fresh_as_of` is sound — the whole suffix routes
-                // nothing to them — and costs one u64 store per view, no
-                // allocation, no evaluation.
-                let lag = views
-                    .iter()
-                    .map(|v| now.saturating_sub(v.fresh_as_of))
-                    .max()
-                    .unwrap_or(0);
-                if lag > ROUTED_LAG_CONSOLIDATE {
-                    drop(views);
-                    for view in self.write().iter_mut() {
-                        view.fresh_as_of = now;
-                    }
-                }
-                return;
-            }
+            self.index = Some(DependencyIndex::build(
+                db.model(),
+                views.iter().map(|v| v.definition.as_ref()),
+            ));
+            self.indexed_views = views.len();
+            self.indexed_schema = db.schema_version();
+            self.routed_through = 0;
         }
-        let mut views = self.write();
-        let MaintState { index, stats, .. } = &mut *maint;
+        let forced = views.iter().any(|v| v.force_refresh);
+        // Empty-refresh early return: when the unseen log suffix routes
+        // **zero** views through the dependency index (and no view is
+        // forced or beyond the log's reach), no view state is touched at
+        // all — no candidate sets, no per-view bookkeeping. The
+        // scanned-through version is cached so the next refresh does not
+        // even re-scan the suffix.
+        if !forced && self.routed_through >= now {
+            return;
+        }
+        let index = self.index.as_ref().expect("index built above");
+        if !forced && routes_nothing(db, views, index) {
+            self.routed_through = now;
+            self.stats.empty_refreshes += 1;
+            crate::metrics::metrics().maint_empty_refreshes.inc();
+            // Consolidate once the lag grows: views that are fresh in
+            // substance but lag by version hold back the writer's log
+            // truncation (the log would grow toward its cap, bloat
+            // snapshot clones, and eventually force full re-evaluations
+            // when the cap drops entries). Bumping `fresh_as_of` is sound
+            // — the whole suffix routes nothing to them — and costs one
+            // u64 store per view, no allocation, no evaluation.
+            let lag = views
+                .iter()
+                .map(|v| now.saturating_sub(v.fresh_as_of))
+                .max()
+                .unwrap_or(0);
+            if lag > ROUTED_LAG_CONSOLIDATE {
+                for view in views.iter_mut() {
+                    view.fresh_as_of = now;
+                }
+            }
+            return;
+        }
+        let stats = &mut self.stats;
         let before = *stats;
-        refresh_views(
-            db,
-            &mut views,
-            index.as_ref().expect("index built above"),
-            stats,
-        );
+        refresh_views(db, views, index, stats);
         let metrics = crate::metrics::metrics();
         metrics
             .maint_deltas_applied
@@ -652,7 +579,7 @@ impl ViewCatalog {
         metrics
             .maint_full_reevaluations
             .add(stats.full_reevaluations - before.full_reevaluations);
-        maint.routed_through = now;
+        self.routed_through = now;
     }
 
     /// Removes one materialized view from the catalog — the advisor's
@@ -665,32 +592,28 @@ impl ViewCatalog {
     /// deterministic sub-diagram from memoized probes. The dependency
     /// index is dropped so maintenance stops routing deltas to the
     /// evicted extension. Returns whether the view existed.
-    pub fn evict(&self, name: &str) -> bool {
-        let mut views = self.write();
-        let Some(position) = views.iter().position(|v| v.definition.name == name) else {
+    pub fn evict(&mut self, name: &str) -> bool {
+        let Some(position) = self.views.iter().position(|v| v.definition.name == name) else {
             return false;
         };
-        views.remove(position);
-        for view in views.iter_mut() {
+        self.views.remove(position);
+        for view in &mut self.views {
             view.parents.clear();
             view.children.clear();
             view.equiv = None;
             view.classified = false;
         }
-        drop(views);
-        let mut maint = self.maint.write().expect("maintenance lock poisoned");
-        maint.index = None;
-        maint.indexed_views = usize::MAX;
-        maint.routed_through = 0;
+        self.index = None;
+        self.routed_through = 0;
         true
     }
 
     /// Re-evaluates every stale view from scratch — the maintenance
     /// oracle the incremental [`ViewCatalog::refresh`] is verified
     /// against, and the baseline of experiment E10.
-    pub fn refresh_full(&self, db: &Database) {
+    pub fn refresh_full(&mut self, db: &Database) {
         let now = db.data_version();
-        for view in self.write().iter_mut() {
+        for view in &mut self.views {
             if view.force_refresh || view.fresh_as_of < now {
                 view.extent = Arc::new(evaluate_query_set(db, &view.definition, None));
                 view.fresh_as_of = now;
@@ -701,53 +624,37 @@ impl ViewCatalog {
 
     /// The cumulative counters of the incremental maintainer.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.maint.read().expect("maintenance lock poisoned").stats
+        self.stats
     }
 
     /// The oldest data version any view's extension still reflects
     /// (`None` for an empty catalog): log entries at or below it can be
     /// truncated without impairing incremental refresh.
     pub fn oldest_snapshot(&self) -> Option<u64> {
-        self.read().iter().map(|v| v.fresh_as_of).min()
+        self.views.iter().map(|v| v.fresh_as_of).min()
     }
 
     /// Number of materialized views.
     pub fn len(&self) -> usize {
-        self.read().len()
+        self.views.len()
     }
 
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
+        self.views.is_empty()
     }
 }
 
-/// One lattice traversal over a slice of views — the shared engine behind
-/// [`ViewCatalog::traverse`] (under the catalog's read lock) and the
-/// lock-free planning of a published [`Snapshot`](crate::snapshot::Snapshot)
-/// (over its immutable view list). Probes run root-down; a failed probe
-/// prunes the whole sub-DAG below it; the result is the maximal-specific
-/// subsuming frontier.
+/// One lattice traversal over a slice of views — the planner of the one
+/// query path (the `query` module), over the writer's catalog or a
+/// published snapshot's immutable view list alike. Probes run root-down;
+/// a failed probe prunes the whole sub-DAG below it (soundly, since
+/// subsumption is transitive); the result is the maximal-specific
+/// subsuming frontier. Views not yet classified (see
+/// [`ViewCatalog::classify_pending`]) are ignored. `trace`, when given,
+/// receives the per-view events EXPLAIN reports — off the planning hot
+/// path, because collecting them clones one name per classified view.
 pub(crate) fn traverse_lattice(
-    views: &[MaterializedView],
-    probe: impl FnMut(ConceptId) -> bool,
-) -> LatticeTraversal {
-    traverse_lattice_inner(views, probe, None)
-}
-
-/// [`traverse_lattice`] with the per-view event trace EXPLAIN reports —
-/// kept off the planning hot path because collecting it clones one name
-/// per classified view.
-pub(crate) fn traverse_lattice_traced(
-    views: &[MaterializedView],
-    probe: impl FnMut(ConceptId) -> bool,
-) -> (LatticeTraversal, TraversalTrace) {
-    let mut trace = TraversalTrace::default();
-    let result = traverse_lattice_inner(views, probe, Some(&mut trace));
-    (result, trace)
-}
-
-fn traverse_lattice_inner(
     views: &[MaterializedView],
     mut probe: impl FnMut(ConceptId) -> bool,
     mut trace: Option<&mut TraversalTrace>,
@@ -989,7 +896,7 @@ mod tests {
     fn materializing_a_view_stores_its_extent() {
         let db = db();
         let model = samples::medical_model();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let view = model.query_class("ViewPatient").expect("declared");
         catalog.materialize(&db, view).expect("materializes");
         let stored = catalog.view("ViewPatient").expect("stored");
@@ -1004,7 +911,7 @@ mod tests {
     fn non_structural_queries_cannot_be_materialized() {
         let db = db();
         let model = samples::medical_model();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let query = model.query_class("QueryPatient").expect("declared");
         let err = catalog.materialize(&db, query).expect_err("must fail");
         assert!(matches!(err, ViewError::NotStructural { .. }));
@@ -1015,7 +922,7 @@ mod tests {
     fn double_materialization_is_rejected() {
         let db = db();
         let model = samples::medical_model();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let view = model.query_class("ViewPatient").expect("declared");
         catalog.materialize(&db, view).expect("first");
         let err = catalog
@@ -1028,7 +935,7 @@ mod tests {
     fn versioned_staleness_tracks_database_changes() {
         let mut db = db();
         let model = samples::medical_model();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let view = model.query_class("ViewPatient").expect("declared");
         catalog.materialize(&db, view).expect("materializes");
         let before = catalog.view("ViewPatient").expect("stored").extent.len();
@@ -1070,7 +977,7 @@ mod tests {
     fn forced_invalidation_and_truncated_logs_reevaluate_in_full() {
         let mut db = db();
         let model = samples::medical_model();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let view = model.query_class("ViewPatient").expect("declared");
         catalog.materialize(&db, view).expect("materializes");
         let expected = catalog.view("ViewPatient").expect("stored").extent;
@@ -1109,7 +1016,7 @@ mod tests {
     #[test]
     fn refreshes_routing_zero_views_return_early() {
         let mut db = db();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         // A view on doctors only: it depends on the `Doctor` extent and
         // nothing else.
         let doctors = QueryClassDecl {
@@ -1167,7 +1074,7 @@ mod tests {
     #[test]
     fn long_routed_nothing_churn_consolidates_fresh_as_of() {
         let mut db = db();
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         let doctors = QueryClassDecl {
             name: "AllDoctors".into(),
             is_a: vec!["Doctor".into()],
@@ -1217,7 +1124,7 @@ mod tests {
     fn invalidate_forces_rederivation_even_at_data_version_zero() {
         let db = Database::new(subq_dl::DlModel::new());
         assert_eq!(db.data_version(), 0);
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         catalog
             .materialize(&db, &trivial_view("V0"))
             .expect("materializes");
@@ -1286,7 +1193,7 @@ mod tests {
 
     fn divisibility_catalog(numbers: &[u32]) -> (ViewCatalog, DivisibilityOracle) {
         let db = Database::new(subq_dl::DlModel::new());
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         for n in numbers {
             catalog
                 .materialize(&db, &trivial_view(&format!("D{n}")))
@@ -1343,7 +1250,7 @@ mod tests {
         // D6 and E6 encode the same number — the second becomes a peer of
         // the first.
         let db = Database::new(subq_dl::DlModel::new());
-        let catalog = ViewCatalog::new();
+        let mut catalog = ViewCatalog::new();
         for name in ["D2", "D6", "E6", "D12"] {
             catalog
                 .materialize(&db, &trivial_view(name))
@@ -1356,11 +1263,11 @@ mod tests {
         assert_eq!(e6.equiv, Some(1), "E6 collapses onto D6");
         // Traversal: a query equal to 12 is subsumed by everything; the
         // frontier is D12 alone (most specific).
-        let result = catalog.traverse(|c| 12 % oracle.number(c) == 0);
+        let result = traverse_lattice(catalog.views(), |c| 12 % oracle.number(c) == 0, None);
         let names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["D12"]);
         // A query equal to 6: frontier is the equivalence class {D6, E6}.
-        let result = catalog.traverse(|c| 6 % oracle.number(c) == 0);
+        let result = traverse_lattice(catalog.views(), |c| 6 % oracle.number(c) == 0, None);
         let mut names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         names.sort();
         assert_eq!(names, vec!["D6", "E6"]);
@@ -1373,10 +1280,14 @@ mod tests {
         // 12 is below the failed 6 (and below 4) — probed only when every
         // parent holds, so it is pruned too.
         let mut probed = Vec::new();
-        let result = catalog.traverse(|c| {
-            probed.push(oracle.number(c));
-            4 % oracle.number(c) == 0
-        });
+        let result = traverse_lattice(
+            catalog.views(),
+            |c| {
+                probed.push(oracle.number(c));
+                4 % oracle.number(c) == 0
+            },
+            None,
+        );
         let names: Vec<&str> = result.frontier.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["D4"]);
         assert!(!probed.contains(&6), "6 must be pruned after 3 fails");
@@ -1393,7 +1304,7 @@ mod tests {
     #[test]
     fn evicting_and_rematerializing_keeps_the_lattice_consistent() {
         let db = Database::new(subq_dl::DlModel::new());
-        let (catalog, mut oracle) = divisibility_catalog(&[1, 2, 3, 4, 6, 12]);
+        let (mut catalog, mut oracle) = divisibility_catalog(&[1, 2, 3, 4, 6, 12]);
         let mut full_edges = catalog.lattice_edges();
         full_edges.sort();
 
@@ -1433,7 +1344,7 @@ mod tests {
 
     #[test]
     fn schema_invalidation_resets_the_lattice() {
-        let (catalog, _) = divisibility_catalog(&[1, 2, 4]);
+        let (mut catalog, _) = divisibility_catalog(&[1, 2, 4]);
         assert_eq!(catalog.classified_count(), 3);
         catalog.invalidate_concepts();
         assert_eq!(catalog.classified_count(), 0);

@@ -267,9 +267,8 @@ impl Session {
                         Ok(()) => {
                             let metrics = crate::metrics::metrics();
                             let version = reader.data_version();
-                            let query = query.clone();
                             let started = Instant::now();
-                            let (answers, _) = reader.execute(&query);
+                            let (answers, _) = reader.execute(query);
                             let names: Vec<String> = answers
                                 .iter()
                                 .map(|id| reader.database().object_name(*id).to_owned())
@@ -305,8 +304,7 @@ impl Session {
                         Ok(()) => {
                             let _span = crate::metrics::metrics().explain_ns.span();
                             let version = reader.data_version();
-                            let query = query.clone();
-                            let report = reader.explain(&query);
+                            let report = reader.explain(query);
                             Response::Report {
                                 version,
                                 lines: report.render_lines(),

@@ -49,7 +49,7 @@ fn check_trace(seed: u64, params: ChurnParams, label: &str) -> usize {
         let before: MaintenanceStats = incremental.maintenance_stats();
         incremental.refresh_views();
         let after: MaintenanceStats = incremental.maintenance_stats();
-        oracle.catalog().refresh_full(oracle.database());
+        oracle.refresh_views_full();
 
         // --- Extensions: incremental ≡ full oracle ≡ scratch.
         for name in &trace.view_names {

@@ -10,7 +10,10 @@
 //! * the chosen views of both planners have extensions of the same
 //!   (minimal) size, so neither filters through a larger set;
 //! * the lattice itself satisfies its structural invariants after every
-//!   batch of insertions.
+//!   batch of insertions;
+//! * the writer and a reader of the just-published snapshot plan and
+//!   execute identically, and a reader's EXPLAIN reports exactly the plan
+//!   the reader would return.
 
 use std::collections::{BTreeSet, HashMap};
 use subq::dl::QueryClassDecl;
@@ -108,6 +111,61 @@ fn check_catalog(
                 query.name
             );
         }
+    }
+
+    // --- Writer ≡ reader: one query path, two callers.
+    odb.publish_snapshot();
+    let mut reader = odb.reader();
+    for query in queries {
+        let written = odb.plan(query);
+        let read = reader.plan(query);
+        assert_eq!(
+            (
+                &written.subsuming_views,
+                &written.chosen_view,
+                written.probes_pruned,
+                written.lattice_depth
+            ),
+            (
+                &read.subsuming_views,
+                &read.chosen_view,
+                read.probes_pruned,
+                read.lattice_depth
+            ),
+            "{label}: query {} writer and reader plans differ",
+            query.name
+        );
+        assert_eq!(
+            odb.execute(query),
+            reader.execute(query),
+            "{label}: query {} writer and reader executions differ",
+            query.name
+        );
+        // Both calls below find every probe cached: the same cache state.
+        let planned = reader.plan(query);
+        let explained = reader.explain(query).plan;
+        assert_eq!(
+            (
+                &planned.subsuming_views,
+                &planned.chosen_view,
+                planned.cached_probes,
+                planned.fresh_probes,
+                planned.fact_saturations,
+                planned.probes_pruned,
+                planned.lattice_depth
+            ),
+            (
+                &explained.subsuming_views,
+                &explained.chosen_view,
+                explained.cached_probes,
+                explained.fresh_probes,
+                explained.fact_saturations,
+                explained.probes_pruned,
+                explained.lattice_depth
+            ),
+            "{label}: query {} EXPLAIN reports a different plan",
+            query.name
+        );
     }
 }
 

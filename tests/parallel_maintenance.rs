@@ -50,7 +50,7 @@ fn parallel_propagation_matches_refresh_full() {
                     op.apply(db);
                 }
             });
-            oracle.catalog().refresh_full(oracle.database());
+            oracle.refresh_views_full();
             for name in &trace.view_names {
                 let inc = incremental.catalog().view(name).expect("stored");
                 let full = oracle.catalog().view(name).expect("stored");
