@@ -35,6 +35,10 @@
 //!   anti-collapse floor and the ≤2%-target observe-mode recording
 //!   overhead on the E14 mixed path (see [`e15_checks`] and
 //!   [`advisor_observe_overhead_checks`]);
+//! * the answer shortcut on the E12 latency catalog: executing each
+//!   view's own definition examines exactly 0 candidates, and a strictly
+//!   more specific query examines more than 0 (see
+//!   [`answer_shortcut_checks`]);
 //! * the telemetry layer's cost when unread: the instrumented E8
 //!   repeat-plan and E13 durable-commit paths, re-timed with spans
 //!   enabled versus disabled, must stay within 10% of each other (see
@@ -858,6 +862,52 @@ fn e15_checks(failures: &mut Vec<String>) -> usize {
     checked
 }
 
+/// The answer-shortcut counter gate, live on the E12 latency catalog at
+/// 10k objects. A view's own definition is Σ-equivalent to the view, so
+/// its execution must return the extension with 0 candidates examined.
+/// The same definition plus an `∃rev_link` restriction, which no view
+/// implies, is strictly more specific: it must be filtered, examining
+/// the view's (non-empty) extension. Returns the views checked.
+fn answer_shortcut_checks(failures: &mut Vec<String>) -> usize {
+    use subq::dl::{LabeledPath, PathFilter, PathStep};
+    let (mut odb, queries) = subq_bench::e12::latency_catalog(10_000);
+    let mut checked = 0usize;
+    for query in &queries {
+        let (answers, exec) = odb.execute(query);
+        if exec.candidates_examined != 0 {
+            failures.push(format!(
+                "answer shortcut: view definition {} examined {} candidates (must be 0)",
+                query.name, exec.candidates_examined
+            ));
+        }
+        if answers.is_empty() {
+            continue;
+        }
+        let mut specific = query.clone();
+        specific.name = format!("{}WithRevLink", query.name);
+        specific.derived.push(LabeledPath {
+            label: None,
+            steps: vec![PathStep {
+                attr: "rev_link".into(),
+                filter: PathFilter::Any,
+            }],
+        });
+        let (_, exec) = odb.execute(&specific);
+        if exec.candidates_examined == 0 {
+            failures.push(format!(
+                "answer shortcut: {} is strictly more specific than its view but examined 0 candidates",
+                specific.name
+            ));
+        }
+        checked += 1;
+    }
+    assert!(
+        checked >= 32,
+        "only {checked} non-empty views in the E12 latency catalog"
+    );
+    checked
+}
+
 /// The advisor-observation overhead gate: with `--advisor observe`, every
 /// reader pays one relaxed flag load plus a shape normalization and ring
 /// push per query — the acceptance bound says that costs ≤2% on the E14
@@ -1005,6 +1055,7 @@ fn main() {
     let e13_checked = e13_checks(&mut failures);
     let e14_checked = e14_checks(&mut failures);
     let e15_checked = e15_checks(&mut failures);
+    let shortcut_checked = answer_shortcut_checks(&mut failures);
     advisor_observe_overhead_checks(&mut failures);
     overhead_checks(&mut failures);
     if !failures.is_empty() {
@@ -1023,6 +1074,7 @@ fn main() {
          {e13_checked} E13 rows within the durability bounds (≥5× group-commit amortization at batch 32, ≥5× image+suffix recovery at 64k entries, ≤200 B/object images), \
          {e14_checked} E14 rows within the server bounds (core-scaled 4-client mixed-traffic speedup, saturation shed as typed BUSY, zero typed errors), \
          {e15_checked} E15 rows within the advisor bounds (auto within core-clamped 2× of hand-tuned with zero manual DDL, the advisor visibly fired, observe-mode recording cheap), \
+         {shortcut_checked} E12 views answered from their extension with 0 candidates and filtered when strictly more specific, \
          and the instrumented E8 repeat-plan and E13 commit paths within 10% of the telemetry-disabled baseline"
     );
 }

@@ -605,9 +605,10 @@ pub mod e12 {
         pub p99_ns: u64,
     }
 
-    /// Builds the latency store once, warms every query shape, then
-    /// samples `ops` plan+execute round trips.
-    pub fn latency_arm(objects: usize, ops: usize) -> LatencyRow {
+    /// The latency catalog: an `objects`-object store over 256 flat
+    /// classes with its 64 views materialized, and the view definitions
+    /// as the query workload.
+    pub fn latency_catalog(objects: usize) -> (OptimizedDatabase, Vec<QueryClassDecl>) {
         let params = ChurnParams {
             shape: FamilyShape::Flat,
             classes: 256,
@@ -634,6 +635,13 @@ pub mod e12 {
                     .clone()
             })
             .collect();
+        (odb, queries)
+    }
+
+    /// Builds the latency store once, warms every query shape, then
+    /// samples `ops` plan+execute round trips.
+    pub fn latency_arm(objects: usize, ops: usize) -> LatencyRow {
+        let (mut odb, queries) = latency_catalog(objects);
         // Warm the subsumption memo and the statistics catalog so the
         // sampled latencies measure the steady state, not first-touch.
         for query in &queries {

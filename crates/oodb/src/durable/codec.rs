@@ -30,33 +30,63 @@ use crate::store::ObjId;
 /// of bytes), so a larger length is a scrambled header.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups fold one 8-byte word.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -460,5 +490,38 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// One step of the bytewise CRC-32 loop, kept as the oracle of the
+    /// sliced one.
+    fn crc32_byte(crc: u32, byte: u8) -> u32 {
+        (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize]
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop_at_every_length_and_offset() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        assert_eq!(
+            !b"123456789".iter().fold(!0, |crc, &b| crc32_byte(crc, b)),
+            0xCBF4_3926
+        );
+        for offset in 0..8 {
+            // The bytewise state runs along the buffer, so the oracle of
+            // every prefix costs one step.
+            let mut oracle = !0u32;
+            for len in 0..=4096 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), !oracle, "offset {offset}, length {len}");
+                oracle = crc32_byte(oracle, bytes[offset + len]);
+            }
+        }
     }
 }

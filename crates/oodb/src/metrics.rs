@@ -56,6 +56,9 @@ pub struct OodbMetrics {
     /// views, bumped once per execution (per-view gauges are set by the
     /// writer's advisor pass and registered lazily by name).
     pub view_hits: Counter,
+    /// Executions answered with a Σ-equivalent view's extension as it is,
+    /// without a membership check (a subset of `view_hits`).
+    pub answer_shortcuts: Counter,
 }
 
 /// The oodb metrics, registered on first use.
@@ -94,5 +97,6 @@ pub fn metrics() -> &'static OodbMetrics {
         advisor_rejected_subsumed: subq_telemetry::counter("subq_advisor_rejected_subsumed_total"),
         advisor_gain_estimate: subq_telemetry::histogram("subq_advisor_gain_estimate"),
         view_hits: subq_telemetry::counter("subq_view_hits_total"),
+        answer_shortcuts: subq_telemetry::counter("subq_answer_shortcuts_total"),
     })
 }

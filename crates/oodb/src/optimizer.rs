@@ -55,6 +55,13 @@ pub struct QueryPlan {
     /// The view whose extension will be filtered (the smallest subsuming
     /// one), if any.
     pub chosen_view: Option<String>,
+    /// The first frontier view Σ-equivalent to the query (the reverse
+    /// probe `view ⊑ query` holds too): its extension *is* the answer,
+    /// and execution returns it without a membership check. `None` when
+    /// no frontier view is equivalent, when the query or the view
+    /// reaches a constraint clause, and always for
+    /// [`OptimizedDatabase::plan_flat`].
+    pub equivalent_view: Option<String>,
     /// How many view probes were answered from the subsumption cache.
     pub cached_probes: usize,
     /// How many view probes ran a goal-side probe (fresh `(query, view)`
@@ -77,7 +84,7 @@ pub struct QueryPlan {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecutionStats {
     /// Number of candidate objects whose membership condition was
-    /// evaluated.
+    /// evaluated: 0 when a Σ-equivalent view's extension was returned.
     pub candidates_examined: usize,
     /// The materialized view whose extension was used, if any.
     pub used_view: Option<String>,
@@ -655,6 +662,7 @@ impl OptimizedDatabase {
         subsuming.sort_by_key(|(_, size)| *size);
         QueryPlan {
             chosen_view: subsuming.first().map(|(name, _)| name.clone()),
+            equivalent_view: None,
             subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
             cached_probes: (hits_after - hits_before) as usize,
             fresh_probes: (misses_after - misses_before) as usize,
@@ -697,7 +705,10 @@ impl OptimizedDatabase {
     }
 
     /// Executes a query with the optimizer: refreshes stale views, plans
-    /// (via the lattice traversal), chooses the **cheapest** frontier
+    /// (via the lattice traversal), returns the extension of a
+    /// Σ-equivalent frontier view as it is when the plan names one
+    /// ([`QueryPlan::equivalent_view`]), and otherwise chooses the
+    /// **cheapest** frontier
     /// member by estimated filter cost (never worse than the
     /// smallest-extension pick — the estimate is monotone in the
     /// candidate count), narrows the view's extension by the query's
@@ -712,7 +723,8 @@ impl OptimizedDatabase {
         self.stats.refresh(&self.db);
         let shapes = self.cell.recording().then_some(&*self.shapes);
         let (db, views) = (&self.db, self.catalog.views());
-        query::execute(db, views, &self.stats, &plan, query, shapes)
+        let (answers, stats) = query::execute(db, views, &self.stats, &plan, query, shapes);
+        (answers.to_btree(), stats)
     }
 
     /// Configures the workload-adaptive view advisor (see
@@ -861,7 +873,8 @@ impl OptimizedDatabase {
     /// Executes a query without using any materialized view (the baseline
     /// the paper's optimization is compared against).
     pub fn execute_unoptimized(&self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
-        query::execute_unoptimized(&self.db, query)
+        let (answers, stats) = query::execute_unoptimized(&self.db, query);
+        (answers.to_btree(), stats)
     }
 }
 

@@ -4,21 +4,27 @@
 //! lend different state: the writer its live catalog, arena and cache
 //! (every concept shareable, so its memo bound is `usize::MAX`), a
 //! reader its pinned snapshot and private arena clone and cache.
+//!
+//! A query Σ-equivalent to a frontier view is answered with that view's
+//! extension itself, without a membership check: on a Σ-legal store
+//! (the one the forward route already needs for completeness), views
+//! with equal translations have equal answers. Only structural
+//! translations qualify — see [`structural`].
 
 use crate::advisor::{normalize_shape, ShapeEvent, ShapeRing};
-use crate::eval::{evaluate_query_over, initial_candidates};
+use crate::eval::{evaluate_query_set, initial_candidates};
+use crate::objset::ObjSet;
 use crate::optimizer::{ExecutionStats, QueryPlan};
 use crate::snapshot::FrontierEstimate;
 use crate::stats::{CostModel, Statistics};
-use crate::store::{Database, ObjId};
+use crate::store::Database;
 use crate::views::{traverse_lattice, MaterializedView, TraversalTrace};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use subq_calculus::{SharedSubsumptionMemo, SubsumptionCache, SubsumptionChecker};
 use subq_concepts::schema::Schema;
 use subq_concepts::symbol::Vocabulary;
 use subq_concepts::term::TermArena;
-use subq_dl::QueryClassDecl;
+use subq_dl::{DlModel, QueryClassDecl};
 use subq_translate::translate_query;
 
 #[cfg(doc)]
@@ -39,11 +45,13 @@ pub(crate) struct QueryPath<'a> {
 }
 
 impl QueryPath<'_> {
-    /// Translates the query, traverses the lattice, and sorts the
-    /// frontier smallest extension first (see
-    /// [`OptimizedDatabase::plan`]); the counters are those of exactly
-    /// this traversal. `trace` receives the per-view events EXPLAIN
-    /// renders. `None` when the query does not translate.
+    /// Translates the query, traverses the lattice, sorts the frontier
+    /// smallest extension first (see [`OptimizedDatabase::plan`]), and
+    /// names the first frontier view `V` with `V ⊑ Q` — Σ-equivalent to
+    /// the query — when both are [`structural`]. The counters are those
+    /// of exactly this traversal: the reverse probes go through the same
+    /// cache and memo but are not counted. `trace` receives the per-view
+    /// events EXPLAIN renders. `None` when the query does not translate.
     pub(crate) fn plan(
         &mut self,
         query: &QueryClassDecl,
@@ -72,8 +80,34 @@ impl QueryPath<'_> {
         let (saturations_after, _) = self.cache.saturation_stats();
         let mut subsuming = traversal.frontier;
         subsuming.sort_by_key(|(_, size)| *size);
+        let model = self.db.model();
+        let equivalent_view = if structural(query, model) {
+            subsuming
+                .iter()
+                .map(|(name, _)| name)
+                .find(|name| {
+                    self.views
+                        .iter()
+                        .find(|v| v.definition.name == **name)
+                        .is_some_and(|view| {
+                            structural(&view.definition, model)
+                                && checker.subsumes_shared(
+                                    self.arena,
+                                    view.concept.expect("frontier views are classified"),
+                                    query_concept,
+                                    self.cache,
+                                    self.memo,
+                                    self.shared_bound,
+                                )
+                        })
+                })
+                .cloned()
+        } else {
+            None
+        };
         Some(QueryPlan {
             chosen_view: subsuming.first().map(|(name, _)| name.clone()),
+            equivalent_view,
             subsuming_views: subsuming.into_iter().map(|(name, _)| name).collect(),
             cached_probes: (hits_after - hits_before) as usize,
             fresh_probes: (misses_after - misses_before) as usize,
@@ -114,11 +148,27 @@ pub(crate) fn choose<'v>(
         .map(|(view, _)| view)
 }
 
-/// Executes a planned query: filters the narrowed extension of the
+/// Whether the query's translation is exact, i.e. whether its answers
+/// on a Σ-legal store are those of its concept: neither the query nor
+/// any query-class superclass, transitively, has a constraint clause
+/// (`translate_query` drops them). Only called on translated queries,
+/// whose inheritance is acyclic.
+fn structural(query: &QueryClassDecl, model: &DlModel) -> bool {
+    query.constraint.is_none()
+        && query.is_a.iter().all(|sup| {
+            model
+                .query_class(sup)
+                .is_none_or(|sup_query| structural(sup_query, model))
+        })
+}
+
+/// Executes a planned query: returns the extension of the plan's
+/// Σ-equivalent view as it is, filters the narrowed extension of the
 /// [`choose`]n view, or evaluates from scratch when no view subsumes.
-/// A view-served execution bumps `subq_view_hits_total` — here, once.
-/// With `shapes`, the shape of a constraint-free query is recorded for
-/// the advisor (constrained shapes cannot be materialized).
+/// A view-served execution bumps `subq_view_hits_total` — here, once —
+/// and an equivalent-view one also `subq_answer_shortcuts_total`. With
+/// `shapes`, the shape of a constraint-free query is recorded for the
+/// advisor (constrained shapes cannot be materialized).
 pub(crate) fn execute(
     db: &Database,
     views: &[MaterializedView],
@@ -126,21 +176,35 @@ pub(crate) fn execute(
     plan: &QueryPlan,
     query: &QueryClassDecl,
     shapes: Option<&ShapeRing>,
-) -> (BTreeSet<ObjId>, ExecutionStats) {
+) -> (Arc<ObjSet>, ExecutionStats) {
+    let metrics = crate::metrics::metrics();
+    let equivalent = plan
+        .equivalent_view
+        .as_deref()
+        .and_then(|name| views.iter().find(|v| v.definition.name == name));
     let cost = CostModel::new(stats, db);
-    let (answers, exec) = match choose(views, plan, &cost, query, None) {
-        Some(view) => {
-            crate::metrics::metrics().view_hits.inc();
-            let candidates = cost.narrow_candidates(&view.extent, query);
-            let answers = evaluate_query_over(db, query, Some(&candidates));
-            let exec = ExecutionStats {
-                candidates_examined: candidates.len(),
-                used_view: Some(view.definition.name.clone()),
-                answers: answers.len(),
-            };
-            (answers, exec)
-        }
-        None => execute_unoptimized(db, query),
+    let (answers, exec) = if let Some(view) = equivalent {
+        metrics.view_hits.inc();
+        metrics.answer_shortcuts.inc();
+        let exec = ExecutionStats {
+            candidates_examined: 0,
+            used_view: Some(view.definition.name.clone()),
+            answers: view.extent.len(),
+        };
+        (view.extent.clone(), exec)
+    } else if let Some(view) = choose(views, plan, &cost, query, None) {
+        metrics.view_hits.inc();
+        let candidates = cost.narrow_candidates(&view.extent, query);
+        let answers = evaluate_query_set(db, query, Some(&candidates));
+        let exec = ExecutionStats {
+            candidates_examined: candidates.len(),
+            used_view: Some(view.definition.name.clone()),
+            answers: answers.len(),
+        };
+        (Arc::new(answers), exec)
+    } else {
+        let (answers, exec) = execute_unoptimized(db, query);
+        (Arc::new(answers), exec)
     };
     if let Some(ring) = shapes.filter(|_| query.constraint.is_none()) {
         ring.push(ShapeEvent {
@@ -158,9 +222,9 @@ pub(crate) fn execute(
 pub(crate) fn execute_unoptimized(
     db: &Database,
     query: &QueryClassDecl,
-) -> (BTreeSet<ObjId>, ExecutionStats) {
+) -> (ObjSet, ExecutionStats) {
     let candidates = initial_candidates(db, query);
-    let answers = evaluate_query_over(db, query, Some(&candidates));
+    let answers = evaluate_query_set(db, query, Some(&candidates));
     let stats = ExecutionStats {
         candidates_examined: candidates.len(),
         used_view: None,

@@ -40,6 +40,7 @@
 //! reader — writer and readers plan and execute through the same code.
 
 use crate::advisor::{ShapeEvent, ShapeRing, SHAPE_RING_CAPACITY};
+use crate::objset::ObjSet;
 use crate::optimizer::{ExecutionStats, QueryPlan};
 use crate::query::{self, QueryPath};
 use crate::stats::{CostModel, Statistics};
@@ -306,11 +307,20 @@ impl Reader {
     }
 
     /// Executes a query against the pinned snapshot exactly like
-    /// [`OptimizedDatabase::execute`] — cheapest frontier view, narrowed,
-    /// filtered; a full evaluation when no view subsumes — all over
-    /// immutable state. When the advisor records, the shape goes into
-    /// this reader's ring (never blocks, never allocates past the ring).
+    /// [`OptimizedDatabase::execute`] — a Σ-equivalent view's extension
+    /// as it is, else the cheapest frontier view, narrowed, filtered; a
+    /// full evaluation when no view subsumes — all over immutable state.
+    /// When the advisor records, the shape goes into this reader's ring
+    /// (never blocks, never allocates past the ring).
     pub fn execute(&mut self, query: &QueryClassDecl) -> (BTreeSet<ObjId>, ExecutionStats) {
+        let (answers, stats) = self.execute_set(query);
+        (answers.to_btree(), stats)
+    }
+
+    /// [`Reader::execute`] without the ordered materialization: the
+    /// answers stay a bitmap, shared with the view when a Σ-equivalent
+    /// one served them.
+    pub fn execute_set(&mut self, query: &QueryClassDecl) -> (Arc<ObjSet>, ExecutionStats) {
         let _span = crate::metrics::metrics().reader_execute_ns.span();
         let plan = self.plan(query);
         let snapshot = &self.snapshot;
@@ -339,10 +349,17 @@ impl Reader {
             .get_or_insert_with(|| Statistics::collect(&snapshot.db));
         let cost = CostModel::new(stats, &snapshot.db);
         let mut frontier = Vec::new();
-        let chosen = query::choose(&snapshot.views, &plan, &cost, query, Some(&mut frontier));
+        let picked = query::choose(&snapshot.views, &plan, &cost, query, Some(&mut frontier));
+        let (chosen, actual_candidates) = match &plan.equivalent_view {
+            Some(name) => (Some(name.clone()), Some(0)),
+            None => (
+                picked.map(|v| v.definition.name.clone()),
+                picked.map(|v| cost.narrow_candidates(&v.extent, query).len()),
+            ),
+        };
         ExplainReport {
-            chosen: chosen.map(|v| v.definition.name.clone()),
-            actual_candidates: chosen.map(|v| cost.narrow_candidates(&v.extent, query).len()),
+            chosen,
+            actual_candidates,
             narrowing_order: cost
                 .intersection_order(query)
                 .into_iter()
@@ -385,14 +402,16 @@ pub struct ExplainReport {
     /// The frontier in plan order (smallest extent first) with cost
     /// estimates.
     pub frontier: Vec<FrontierEstimate>,
-    /// The frontier member the executor would filter (cheapest estimated
-    /// cost), if any view subsumes.
+    /// The view the executor would answer from: the plan's Σ-equivalent
+    /// view, else the frontier member it would filter (cheapest
+    /// estimated cost), if any view subsumes.
     pub chosen: Option<String>,
     /// The narrowing order: the query's schema superclasses, ascending
     /// by estimated cardinality, as the executor intersects them.
     pub narrowing_order: Vec<(String, usize)>,
     /// Candidates actually left after narrowing the chosen view's
-    /// extension (the number the executor's filter examines).
+    /// extension (the number the executor's filter examines); 0 when a
+    /// Σ-equivalent view answers without a filter.
     pub actual_candidates: Option<usize>,
 }
 
@@ -400,16 +419,19 @@ impl ExplainReport {
     /// Renders the report as structured text, one datum per line, no
     /// blank lines — the payload of the server's `EXPLAIN` command.
     ///
-    /// Line grammar: a `plan` line carrying every `QueryPlan` counter,
-    /// one `probe` line per fired probe (in traversal order), one
-    /// `pruned` line per unprobed view, one `frontier` line per frontier
-    /// member (`chosen=true` on the executor's pick), one `narrow` line
-    /// per intersected superclass, and a final `candidates` line.
+    /// Line grammar: a `plan` line carrying the executor's pick, the
+    /// Σ-equivalent view (`none` when there is none) and every
+    /// `QueryPlan` counter, one `probe` line per fired probe (in
+    /// traversal order), one `pruned` line per unprobed view, one
+    /// `frontier` line per frontier member (`chosen=true` on the
+    /// executor's pick), one `narrow` line per intersected superclass,
+    /// and a final `candidates` line.
     pub fn render_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         lines.push(format!(
-            "plan chosen={} subsuming={} cached_probes={} fresh_probes={} fact_saturations={} probes_pruned={} lattice_depth={}",
+            "plan chosen={} equivalent={} subsuming={} cached_probes={} fresh_probes={} fact_saturations={} probes_pruned={} lattice_depth={}",
             self.chosen.as_deref().unwrap_or("-"),
+            self.plan.equivalent_view.as_deref().unwrap_or("none"),
             self.plan.subsuming_views.len(),
             self.plan.cached_probes,
             self.plan.fresh_probes,

@@ -53,9 +53,20 @@ impl std::error::Error for FrameError {}
 
 /// Appends one encoded frame to `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `write` appends to `out` in place:
+/// the header is reserved first and patched with the payload's length
+/// and CRC afterwards, so the payload is never built anywhere else.
+pub fn encode_frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    write(out);
+    let payload = &out[header + HEADER_LEN..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..header + HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// An incremental frame decoder over bytes fed from a socket.

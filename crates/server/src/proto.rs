@@ -375,6 +375,23 @@ impl Request {
     }
 }
 
+/// Appends the payload `Response::Answers { version, names }.render()`
+/// renders, byte for byte, straight from `count` borrowed names: the
+/// server streams query replies into their frame with it, without a
+/// `Vec<String>` or a rendered `String` in between.
+pub fn write_answers<'a>(
+    out: &mut Vec<u8>,
+    version: u64,
+    count: usize,
+    names: impl Iterator<Item = &'a str>,
+) {
+    out.extend_from_slice(format!("ANSWERS {version} {count}\n").as_bytes());
+    for name in names {
+        out.extend_from_slice(name.as_bytes());
+        out.push(b'\n');
+    }
+}
+
 impl Response {
     pub fn render(&self) -> String {
         match self {

@@ -16,8 +16,8 @@
 //! and a session that makes no progress for `idle_timeout` is closed.
 //! Every buffer in sight is bounded by configuration.
 
-use crate::frame::{encode_frame, FrameDecoder, FrameError};
-use crate::proto::{ErrorCode, Request, Response};
+use crate::frame::{encode_frame, encode_frame_with, FrameDecoder, FrameError};
+use crate::proto::{write_answers, ErrorCode, Request, Response};
 use crate::server::{ServerConfig, ServerStats};
 use crate::writer::{Ticket, WriteCmd, WriteRequest};
 use std::collections::VecDeque;
@@ -252,27 +252,35 @@ impl Session {
                     self.input_done = true;
                     self.closing = true;
                 }
-                WorkItem::Do(Request::Query(query)) => {
+                WorkItem::Do(Request::Query(_)) => {
                     // Reply order is request order, and answers must not
                     // run behind this session's own acknowledged writes.
                     if self.outstanding > 0 || reader.data_version() < self.last_committed {
                         break;
                     }
-                    let response = match validate_query(reader.database().model(), query) {
+                    let Some(WorkItem::Do(Request::Query(query))) = self.work.pop_front() else {
+                        unreachable!("peeked a query")
+                    };
+                    match validate_query(reader.database().model(), &query) {
                         Err(response) => {
                             stats.bump(&stats.protocol_errors);
                             crate::metrics::metrics().protocol_errors.inc();
-                            response
+                            self.push_reply(response);
                         }
                         Ok(()) => {
                             let metrics = crate::metrics::metrics();
                             let version = reader.data_version();
                             let started = Instant::now();
-                            let (answers, _) = reader.execute(query);
-                            let names: Vec<String> = answers
-                                .iter()
-                                .map(|id| reader.database().object_name(*id).to_owned())
-                                .collect();
+                            let (answers, _) = reader.execute_set(&query);
+                            // No ticket is outstanding, so every queued
+                            // reply is ready: flush them, then stream the
+                            // answers straight into their frame.
+                            self.flush_replies(stats);
+                            let db = reader.database();
+                            encode_frame_with(&mut self.outbound, |out| {
+                                let names = answers.iter().map(|id| db.object_name(id));
+                                write_answers(out, version, answers.len(), names);
+                            });
                             let elapsed = started.elapsed();
                             metrics.query_ns.record(elapsed.as_nanos() as u64);
                             if let Some(threshold) = config.slow_query_us {
@@ -283,11 +291,8 @@ impl Session {
                             }
                             stats.bump(&stats.queries);
                             metrics.queries.inc();
-                            Response::Answers { version, names }
                         }
-                    };
-                    self.work.pop_front();
-                    self.push_reply(response);
+                    }
                 }
                 WorkItem::Do(Request::Explain(query)) => {
                     // Gated exactly like a query: the explained plan must
@@ -482,7 +487,7 @@ fn validate_query(model: &DlModel, query: &QueryClassDecl) -> Result<(), Respons
         })
     };
     for sup in &query.is_a {
-        if model.class(sup).is_none() {
+        if model.class(sup).is_none() && model.query_class(sup).is_none() {
             return unknown("class", sup);
         }
     }

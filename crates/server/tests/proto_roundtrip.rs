@@ -15,7 +15,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use subq_dl::{ConstraintExpr, LabeledPath, PathFilter, PathStep, QueryClassDecl, Term};
-use subq_server::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_PAYLOAD};
+use subq_oodb::{Database, ObjSet};
+use subq_server::frame::{encode_frame, encode_frame_with, FrameDecoder, DEFAULT_MAX_PAYLOAD};
+use subq_server::proto::write_answers;
 use subq_server::{ErrorCode, Request, Response, TxnOp};
 
 const CLASSES: [&str; 5] = ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"];
@@ -322,6 +324,43 @@ fn server_parse_pretty_reparse_is_identity_on_dl_payloads() {
                 (sent, got) => panic!("verb drifted: sent {sent:?}, got {got:?}"),
             }
         }
+    }
+}
+
+/// The server streams `ANSWERS` replies straight from the answer
+/// bitmap into the outbound buffer, behind whatever it already holds;
+/// the bytes must be exactly the framed `Response::render` text, for
+/// empty, single and large answers.
+#[test]
+fn streamed_answer_frames_equal_the_rendered_reply() {
+    let mut db = Database::new(subq_dl::DlModel::new());
+    let ids: Vec<_> = (0..30_001)
+        .map(|i| db.add_object(&format!("{}{i}", OBJECTS[i % OBJECTS.len()])))
+        .collect();
+    let one: ObjSet = ids[7..8].iter().copied().collect();
+    let all: ObjSet = ids.iter().copied().collect();
+    for (answers, version) in [(ObjSet::new(), 0u64), (one, 3), (all, 1 << 40)] {
+        let names = answers.iter().map(|id| db.object_name(id).to_owned());
+        let rendered = Response::Answers {
+            version,
+            names: names.collect(),
+        }
+        .render();
+        let mut expected = Vec::new();
+        encode_frame(b"queued", &mut expected);
+        encode_frame(rendered.as_bytes(), &mut expected);
+
+        let mut streamed = Vec::new();
+        encode_frame(b"queued", &mut streamed);
+        encode_frame_with(&mut streamed, |out| {
+            let names = answers.iter().map(|id| db.object_name(id));
+            write_answers(out, version, answers.len(), names);
+        });
+        assert!(
+            streamed == expected,
+            "{} answers: streamed frame differs from the rendered one",
+            answers.len()
+        );
     }
 }
 

@@ -241,6 +241,31 @@ pub fn hierarchical_catalog(seed: u64, params: HierarchyParams) -> HierarchyInst
     }
 }
 
+/// A syntactic variant of a view definition (a query class without a
+/// constraint clause) that is Σ-equivalent to it: a fresh name, the `isA` list reversed with its first entry repeated,
+/// and every label renamed (in `derived` and `where` alike). The
+/// equivalence suites execute it next to the original to check that a
+/// planner recognizes equivalence beyond identical text.
+pub fn equivalent_variant(query: &QueryClassDecl) -> QueryClassDecl {
+    let rename = |label: &mut String| *label = format!("{label}_v");
+    let mut variant = query.clone();
+    variant.name = format!("{}Variant", query.name);
+    variant.is_a.reverse();
+    if let Some(first) = variant.is_a.first().cloned() {
+        variant.is_a.push(first);
+    }
+    for path in &mut variant.derived {
+        if let Some(label) = &mut path.label {
+            rename(label);
+        }
+    }
+    for (left, right) in &mut variant.where_eqs {
+        rename(left);
+        rename(right);
+    }
+    variant
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,7 +39,9 @@ pub mod traffic;
 pub use churn::{churn_trace, ChurnOp, ChurnParams, ChurnTrace};
 pub use crash::{crash_points, flip_points};
 pub use database::{synthetic_hospital, HospitalParams};
-pub use hierarchy::{hierarchical_catalog, FamilyShape, HierarchyInstance, HierarchyParams};
+pub use hierarchy::{
+    equivalent_variant, hierarchical_catalog, FamilyShape, HierarchyInstance, HierarchyParams,
+};
 pub use random::{random_concept, random_pair, subsumed_pair, RandomConceptParams, RandomEnv};
 pub use scaling::ScalingInstance;
 pub use traffic::{client_schedule, shifting_schedule, ShiftParams, TrafficOp, TrafficParams};

@@ -11,10 +11,12 @@
 //! never exceed candidates examined, candidates per pass never exceed
 //! `stale views × objects`, and lattice prunes only occur when the
 //! catalog actually has Hasse edges or equivalence peers to prune
-//! through.
+//! through. Every view definition, and a Σ-equivalent variant of it,
+//! must then be answered from a maintained extension as it is — with
+//! no membership check — and equal its scratch evaluation.
 
-use subq::oodb::{evaluate_query, MaintenanceStats, OptimizedDatabase};
-use subq::workload::{churn_trace, ChurnParams, FamilyShape};
+use subq::oodb::{evaluate_query, evaluate_query_over, MaintenanceStats, OptimizedDatabase};
+use subq::workload::{churn_trace, equivalent_variant, ChurnParams, FamilyShape};
 
 /// Runs one churn trace through an incrementally maintained catalog and a
 /// full-re-evaluation twin, checking equivalence after every transaction.
@@ -106,6 +108,37 @@ fn check_trace(seed: u64, params: ChurnParams, label: &str) -> usize {
                 prunes, 0,
                 "{label}: txn {t}: prunes without lattice edges or peers"
             );
+        }
+
+        // --- Shortcut: maintained extensions answer equivalent queries.
+        for name in &trace.view_names {
+            let view = incremental.catalog().view(name).expect("stored");
+            for query in [
+                (*view.definition).clone(),
+                equivalent_variant(&view.definition),
+            ] {
+                let scratch = evaluate_query(incremental.database(), &query);
+                assert_eq!(
+                    evaluate_query_over(incremental.database(), &query, Some(&view.extent)),
+                    scratch,
+                    "{label}: txn {t}: {}: filtered extension ≠ scratch",
+                    query.name
+                );
+                let plan = incremental.plan(&query);
+                let (answers, stats) = incremental.execute(&query);
+                assert_eq!(answers, scratch, "{label}: txn {t}: {}", query.name);
+                assert!(
+                    plan.equivalent_view.is_some(),
+                    "{label}: txn {t}: {} names no equivalent view",
+                    query.name
+                );
+                assert_eq!(
+                    (stats.candidates_examined, &stats.used_view),
+                    (0, &plan.equivalent_view),
+                    "{label}: txn {t}: {} was filtered",
+                    query.name
+                );
+            }
         }
         checked += 1;
     }

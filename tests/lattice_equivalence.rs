@@ -13,13 +13,19 @@
 //!   batch of insertions;
 //! * the writer and a reader of the just-published snapshot plan and
 //!   execute identically, and a reader's EXPLAIN reports exactly the plan
-//!   the reader would return.
+//!   the reader would return;
+//! * every view definition, and a Σ-equivalent syntactic variant of it,
+//!   is answered from an equivalent view's extension with no membership
+//!   check; a query whose plan names an equivalent view examines 0
+//!   candidates, any other exactly the candidates the forward filter
+//!   narrows to (0 only when narrowing leaves none).
 
 use std::collections::{BTreeSet, HashMap};
 use subq::dl::QueryClassDecl;
 use subq::oodb::{evaluate_query, evaluate_query_over, OptimizedDatabase};
 use subq::workload::{
-    hierarchical_catalog, synthetic_hospital, FamilyShape, HierarchyParams, HospitalParams,
+    equivalent_variant, hierarchical_catalog, synthetic_hospital, FamilyShape, HierarchyParams,
+    HospitalParams,
 };
 
 /// Runs the full battery of equivalence assertions for one catalog and
@@ -113,6 +119,38 @@ fn check_catalog(
         }
     }
 
+    // --- Shortcut: a view definition and its variant are Σ-equivalent
+    // to the view, so an equivalent view's extension is the answer.
+    for name in view_names {
+        let view = odb.catalog().view(name).expect("stored");
+        for query in [
+            (*view.definition).clone(),
+            equivalent_variant(&view.definition),
+        ] {
+            let scratch = evaluate_query(odb.database(), &query);
+            assert_eq!(
+                evaluate_query_over(odb.database(), &query, Some(&view.extent)),
+                scratch,
+                "{label}: {}: filtered view extension differs from scratch",
+                query.name
+            );
+            let plan = odb.plan(&query);
+            let (answers, stats) = odb.execute(&query);
+            assert_eq!(answers, scratch, "{label}: {}", query.name);
+            assert!(
+                plan.equivalent_view.is_some(),
+                "{label}: {} names no equivalent view",
+                query.name
+            );
+            assert_eq!(
+                (stats.candidates_examined, &stats.used_view),
+                (0, &plan.equivalent_view),
+                "{label}: {} was filtered",
+                query.name
+            );
+        }
+    }
+
     // --- Writer ≡ reader: one query path, two callers.
     odb.publish_snapshot();
     let mut reader = odb.reader();
@@ -164,6 +202,23 @@ fn check_catalog(
                 explained.lattice_depth
             ),
             "{label}: query {} EXPLAIN reports a different plan",
+            query.name
+        );
+        // 0 candidates when an equivalent view answers; else the forward
+        // filter's narrowed count, or the full evaluation's.
+        let report = reader.explain(query);
+        let (_, stats) = reader.execute(query);
+        let forward = match (&report.plan.equivalent_view, report.actual_candidates) {
+            (Some(_), actual) => {
+                assert_eq!(actual, Some(0), "{label}: query {}", query.name);
+                0
+            }
+            (None, Some(narrowed)) => narrowed,
+            (None, None) => odb.execute_unoptimized(query).1.candidates_examined,
+        };
+        assert_eq!(
+            stats.candidates_examined, forward,
+            "{label}: query {} examined an unexpected candidate count",
             query.name
         );
     }

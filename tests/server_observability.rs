@@ -108,6 +108,22 @@ fn explain_wire_counters_match_the_engine_plan() {
                 expected.lattice_depth,
                 "{tag}: lattice_depth"
             );
+            // Each query is a view definition: a Σ-equivalent view names
+            // itself and answers without a membership check.
+            assert_eq!(
+                field(plan_line, "equivalent"),
+                expected.equivalent_view.as_deref().unwrap_or("none"),
+                "{tag}: equivalent"
+            );
+            assert!(
+                expected.equivalent_view.is_some(),
+                "{tag}: no equivalent view"
+            );
+            assert_eq!(
+                lines.last().map(String::as_str),
+                Some("candidates actual=0"),
+                "{tag}: shortcut candidates"
+            );
 
             // The structured lines must agree with the counters they
             // itemize: one probe line per probe, one pruned line per
@@ -231,8 +247,10 @@ fn stats_over_a_loaded_server_shows_populated_histograms() {
             "{metric}: p50 {p50} / p99 {p99} unordered or empty"
         );
     }
-    // The mirrored counters engage too: queries flowed, bytes moved.
+    // The mirrored counters engage too: queries flowed, bytes moved,
+    // and view-definition queries were answered from their view.
     assert!(metric_sample(&lines, "subq_server_queries_total") > 0);
+    assert!(metric_sample(&lines, "subq_answer_shortcuts_total") > 0);
     assert!(metric_sample(&lines, "subq_server_bytes_in_total") > 0);
     assert!(metric_sample(&lines, "subq_server_bytes_out_total") > 0);
 

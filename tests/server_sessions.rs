@@ -307,3 +307,92 @@ fn four_concurrent_sessions_agree_with_scratch_reevaluation() {
     server.shutdown();
     check_equivalence(&trace, events.into_inner().unwrap());
 }
+
+/// `isA` may name a declared query class on the wire, as it may in the
+/// translator and the evaluator. `isA` a materialized view is
+/// Σ-equivalent to it and served from its extension without a
+/// membership check; `isA` a query class with a constraint clause is
+/// not — its translation drops the constraint — and is filtered.
+#[test]
+fn query_class_superclasses_are_served_and_only_structural_ones_shortcut() {
+    use subq_dl::{ClassDecl, ConstraintExpr, DlModel, QueryClassDecl, Term};
+    let query = |name: &str, is_a: &str, constraint: Option<ConstraintExpr>| QueryClassDecl {
+        name: name.into(),
+        is_a: vec![is_a.into()],
+        derived: vec![],
+        where_eqs: vec![],
+        constraint,
+    };
+    let mut model = DlModel::new();
+    model.classes.push(ClassDecl {
+        name: "K".into(),
+        is_a: vec![],
+        attributes: vec![],
+        constraint: None,
+    });
+    model.queries.push(query("AllK", "K", None));
+    // Every K but `k0`: structurally the same concept as AllK.
+    model.queries.push(query(
+        "Guarded",
+        "K",
+        Some(ConstraintExpr::Not(Box::new(ConstraintExpr::Eq(
+            Term::This,
+            Term::Ident("k0".into()),
+        )))),
+    ));
+    let mut db = Database::new(model);
+    for i in 0..40 {
+        let object = db.add_object(&format!("k{i}"));
+        db.assert_class(object, "K");
+    }
+    db.add_object("loose");
+    let mut odb = OptimizedDatabase::new(db.clone()).expect("translates");
+    odb.materialize_view("AllK").expect("materializes");
+    let server = Server::start(odb, ServerConfig::default()).expect("binds loopback");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    for (query, equivalent, answers) in [
+        (query("ViaView", "AllK", None), "AllK", 40),
+        (query("ViaGuarded", "Guarded", None), "none", 39),
+    ] {
+        let mut expected: Vec<String> = evaluate_query(&db, &query)
+            .iter()
+            .map(|id| db.object_name(*id).to_owned())
+            .collect();
+        expected.sort();
+        assert_eq!(expected.len(), answers, "{}", query.name);
+        match client
+            .request(&Request::Query(query.clone()))
+            .expect("query")
+        {
+            Response::Answers { mut names, .. } => {
+                names.sort();
+                assert_eq!(names, expected, "{}", query.name);
+            }
+            other => panic!("{}: expected ANSWERS, got {other:?}", query.name),
+        }
+        let lines = match client
+            .request(&Request::Explain(query.clone()))
+            .expect("explains")
+        {
+            Response::Report { lines, .. } => lines,
+            other => panic!("{}: expected REPORT, got {other:?}", query.name),
+        };
+        assert!(
+            lines[0].contains(&format!(" equivalent={equivalent} ")),
+            "{}: {:?}",
+            query.name,
+            lines[0]
+        );
+        let candidates = lines.last().expect("candidates line");
+        assert_eq!(
+            candidates == "candidates actual=0",
+            equivalent != "none",
+            "{}: {candidates:?}",
+            query.name
+        );
+    }
+    client.close().expect("graceful BYE");
+    server.shutdown();
+}
